@@ -9,6 +9,7 @@ sympy (imported lazily so that the common small-prime paths stay cheap).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 from .errors import InvalidPrime
@@ -37,7 +38,7 @@ def primes_upto(bound: int) -> list[int]:
     """Primes p <= bound, ascending."""
     if bound < _SMALL_PRIME_BOUND:
         ps = _small_primes()
-        return [p for p in ps if p <= bound]
+        return list(ps[: bisect_right(ps, bound)])
     from sympy import primerange
 
     return list(primerange(2, bound + 1))
@@ -138,9 +139,3 @@ def is_squarefree(n: int) -> bool:
         return False
     return all(e == 1 for e in factorint(n).values())
 
-
-def is_cubefree(n: int) -> bool:
-    """True iff no prime cube divides n (n != 0)."""
-    if n == 0:
-        return False
-    return all(e <= 2 for e in factorint(n).values())

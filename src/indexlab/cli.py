@@ -9,9 +9,8 @@ Polynomials are accepted as "[c0,c1,...,cn]" (ascending coefficients) or
 symbolically like "x^3 - 13*x + 4".  Output is byte-deterministic for a
 fixed input and format: JSON keys are sorted and big integers are printed
 as decimal strings.  Exit codes: 0 success/verified, 2 usage or parse
-error, 3 invalid field, 4 search budget exhausted.  The environment
-variable INDEXLAB_CAP overrides the refinement level cap; --cap takes
-precedence over it.
+error, 3 invalid field, 4 search budget exhausted.  --cap overrides the
+refinement level cap.
 """
 
 from __future__ import annotations

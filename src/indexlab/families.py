@@ -97,13 +97,16 @@ def _cubic_is_irreducible(a: int, b: int) -> bool:
     return True
 
 
-def _cubic_is_reduced(a: int, b: int) -> bool:
-    if b == 0:
-        return False
+def _reducing_prime(a: int, b: int) -> int | None:
+    """A prime p with p^3 | b and p^2 | a, or None (b != 0)."""
     for p, e in factorint(b).items():
         if e >= 3 and (a == 0 or a % p**2 == 0):
-            return False
-    return True
+            return p
+    return None
+
+
+def _cubic_is_reduced(a: int, b: int) -> bool:
+    return b != 0 and _reducing_prime(a, b) is None
 
 
 def cubic_reduce(a: int, b: int) -> tuple[int, int]:
@@ -111,15 +114,11 @@ def cubic_reduce(a: int, b: int) -> tuple[int, int]:
     if not _cubic_is_irreducible(a, b):
         raise NotAField(f"x^3 - {a}x + {b} is reducible")
     while True:
-        hit = None
-        for p, e in factorint(b).items():
-            if e >= 3 and (a == 0 or a % p**2 == 0):
-                hit = p
-                break
-        if hit is None:
+        p = _reducing_prime(a, b)
+        if p is None:
             return a, b
-        a //= hit**2
-        b //= hit**3
+        a //= p**2
+        b //= p**3
 
 
 def cubic_predict(a: int, b: int) -> FamilyPrediction:

@@ -108,12 +108,6 @@ class IntPoly:
             v = v * x + c
         return v
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -141,9 +135,6 @@ class IntPoly:
                 for j, c in enumerate(divisor.coeffs):
                     rem[k - d + j] -= q * c
         return IntPoly(quot), IntPoly(rem)
-
-    def mod(self, divisor: "IntPoly") -> "IntPoly":
-        return self.divmod_exact(divisor)[1]
 
     # -- text -------------------------------------------------------------
 

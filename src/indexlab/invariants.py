@@ -19,9 +19,10 @@ cross-checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .arith import check_prime, gcd_all, primes_upto
+from .arith import gcd_all, primes_upto
 from .errors import IndexLabError
 from .intpoly import IntPoly
 from .numberfield import (
@@ -32,7 +33,7 @@ from .numberfield import (
     is_primitive,
     split_prime,
 )
-from .refinement import env_cap_override, max_i_valuation, min_index_valuation
+from .refinement import max_i_valuation, min_index_valuation
 
 
 def i_theta(field: NumberField, t: AlgebraicInt) -> int:
@@ -41,31 +42,24 @@ def i_theta(field: NumberField, t: AlgebraicInt) -> int:
     return gcd_all(f(x) for x in range(field.degree + 1))
 
 
-def _vp_i_cached(field: NumberField, p: int, cap=None):
+def _cached(search, field: NumberField, p: int, cap):
     # an explicit cap is a diagnostic mode and bypasses the cache
     if cap is not None:
-        return max_i_valuation(field, p, cap=cap)
-    cache = field.invariant_cache.setdefault("vp_i", {})
+        return search(field, p, cap=cap)
+    cache = field.invariant_cache.setdefault(search.__name__, {})
     if p not in cache:
-        cache[p] = max_i_valuation(field, p, cap=env_cap_override())
+        cache[p] = search(field, p)
     return cache[p]
 
 
 def vp_iK(field: NumberField, p: int, cap=None) -> int:
     """Exact max over primitive t of v_p(i(t)); 0 immediately for p > degree."""
-    check_prime(p)
-    return _vp_i_cached(field, p, cap)[0]
+    return _cached(max_i_valuation, field, p, cap)[0]
 
 
 def vp_IK(field: NumberField, p: int, cap=None) -> int:
     """Exact min over primitive t of v_p(index of t); 0 for p > degree."""
-    check_prime(p)
-    if cap is not None:
-        return min_index_valuation(field, p, cap=cap)
-    cache = field.invariant_cache.setdefault("vp_I", {})
-    if p not in cache:
-        cache[p] = min_index_valuation(field, p, cap=env_cap_override())
-    return cache[p]
+    return _cached(min_index_valuation, field, p, cap)
 
 
 def maccluer_support(field: NumberField) -> frozenset[int]:
@@ -96,10 +90,12 @@ def good_element(field: NumberField, cap=None) -> AlgebraicInt:
     """
     n = field.degree
     witnesses = []
+    i_k = 1
     for p in primes_upto(n):
-        val, wit = _vp_i_cached(field, p, cap)
+        val, wit = _cached(max_i_valuation, field, p, cap)
         if val > 0:
             witnesses.append((p, wit))
+            i_k *= p**val
     if not witnesses:
         return field.generator()
     modulus = 1
@@ -123,25 +119,10 @@ def good_element(field: NumberField, cap=None) -> AlgebraicInt:
                 [c + modulus * b for c, b in zip(coords, bump)]
             )
             if is_primitive(field, cand):
-                expected = _i_K_value(field, cap)
                 got = i_theta(field, cand)
-                assert got == expected, "witness does not attain the invariant"
+                assert got == i_k, "witness does not attain the invariant"
                 return cand
     raise IndexLabError("could not find a primitive representative")
-
-
-def _i_K_value(field: NumberField, cap=None) -> int:
-    out = 1
-    for p in primes_upto(field.degree):
-        out *= p ** vp_iK(field, p, cap)
-    return out
-
-
-def _I_K_value(field: NumberField, cap=None) -> int:
-    out = 1
-    for p in primes_upto(field.degree):
-        out *= p ** vp_IK(field, p, cap)
-    return out
 
 
 @dataclass
@@ -180,19 +161,14 @@ def full_report(field: NumberField, cap=None) -> InvariantReport:
     primes = primes_upto(n)
     splittings = {p: split_prime(field, p) for p in primes}
     valuations = {p: (vp_iK(field, p, cap), vp_IK(field, p, cap)) for p in primes}
-    i_k = 1
-    big_i_k = 1
-    for p, (vi, v_idx) in valuations.items():
-        i_k *= p**vi
-        big_i_k *= p**v_idx
     witness = good_element(field, cap)
     report = InvariantReport(
         poly=field.poly,
         degree=n,
         field_disc=field.disc,
         splittings=splittings,
-        i_K=i_k,
-        I_K=big_i_k,
+        i_K=math.prod(p**vi for p, (vi, _) in valuations.items()),
+        I_K=math.prod(p**vI for p, (_, vI) in valuations.items()),
         valuations=valuations,
         witness=witness,
         witness_char_poly=char_poly(field, witness),

@@ -170,10 +170,6 @@ class FactorizationModP:
                 out = out * g
         return out
 
-    def splitting_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (exponent, degree) pairs, one per distinct factor."""
-        return tuple(sorted((e, g.degree) for g, e in self.factors))
-
 
 _EXHAUSTIVE_P = 7
 
@@ -201,17 +197,6 @@ def monic_irreducibles(p: int, degree: int) -> tuple[ModPoly, ...]:
         if all(not (f % g).is_zero for g in smaller):
             out.append(f)
     return tuple(sorted(out, key=ModPoly.sort_key))
-
-
-def is_irreducible_mod_p(f: ModPoly) -> bool:
-    """Trial-division irreducibility test (degrees in scope are tiny)."""
-    if f.degree < 1:
-        return False
-    for d in range(1, f.degree // 2 + 1):
-        for g in monic_irreducibles(f.p, d):
-            if (f % g).is_zero:
-                return False
-    return True
 
 
 def _squarefree_decomposition(f: ModPoly) -> list[tuple[ModPoly, int]]:

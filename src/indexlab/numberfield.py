@@ -95,31 +95,6 @@ def _left_nullspace_mod_p(rows, p):
     return basis
 
 
-def _solve_mod_p(rows, target, p):
-    """Coefficients c with sum_i c_i * rows_i = target mod p, rows independent."""
-    k = len(rows)
-    aug = [[rows[i][j] % p for i in range(k)] + [target[j] % p] for j in range(len(target))]
-    sol = [0] * k
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for rr, pc in enumerate(pivots):
-        sol[pc] = aug[rr][k]
-    return sol
-
-
 def _matpow_mod_p(m, e, p):
     n = len(m)
     out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -294,20 +269,6 @@ class _Order:
                 table[j][i] = tuple(coords)
         return tuple(tuple(row) for row in table)
 
-    def mul_coords(self, u, v):
-        n = self.n
-        out = [0] * n
-        for i, ui in enumerate(u):
-            if ui:
-                ti = self.table[i]
-                for j, vj in enumerate(v):
-                    if vj:
-                        c = ui * vj
-                        tij = ti[j]
-                        for k in range(n):
-                            out[k] += c * tij[k]
-        return out
-
     def basis_index(self):
         """Index of the power-basis lattice Z[theta] in this order."""
         det = 1
@@ -323,14 +284,12 @@ def _equation_order(f) -> _Order:
     return _Order(f, [_unit(n, i) for i in range(n)], 1)
 
 
-def _mod_table(order, p):
-    return [
-        [[c % p for c in order.table[i][j]] for j in range(order.n)]
-        for i in range(order.n)
-    ]
+def _mod_table(table, p):
+    return [[[c % p for c in tij] for tij in row] for row in table]
 
 
-def _alg_mul_mod_p(u, v, table, p):
+def _mul(u, v, table):
+    """Product of two coordinate vectors under the given times table."""
     n = len(u)
     out = [0] * n
     for i, ui in enumerate(u):
@@ -342,7 +301,11 @@ def _alg_mul_mod_p(u, v, table, p):
                     tij = ti[j]
                     for k in range(n):
                         out[k] += c * tij[k]
-    return [x % p for x in out]
+    return out
+
+
+def _alg_mul_mod_p(u, v, table, p):
+    return [x % p for x in _mul(u, v, table)]
 
 
 def _frobenius_matrix(table, p, n):
@@ -361,18 +324,22 @@ def _frobenius_matrix(table, p, n):
     return rows
 
 
-def _radical_rows(order, p):
-    """HNF basis of the radical of p*O inside O (Frobenius kernel pullback)."""
-    n = order.n
-    table = _mod_table(order, p)
+def _radical_mod_p(table, p, n):
+    """Basis of the nilradical of the algebra with this times table mod p:
+    the kernel of x -> x^(p^k) for the least k with p^k >= n."""
     phi = _frobenius_matrix(table, p, n)
     k = 1
     q = p
     while q < n:
         q *= p
         k += 1
-    phik = _matpow_mod_p(phi, k, p)
-    kernel = _left_nullspace_mod_p(phik, p)
+    return _left_nullspace_mod_p(_matpow_mod_p(phi, k, p), p)
+
+
+def _radical_rows(order, p):
+    """HNF basis of the radical of p*O inside O (Frobenius kernel pullback)."""
+    n = order.n
+    kernel = _radical_mod_p(_mod_table(order.table, p), p, n)
     rows = [[p if i == j else 0 for j in range(n)] for i in range(n)]
     rows.extend([x % p for x in v] for v in kernel)
     basis = hnf_basis(rows)
@@ -389,7 +356,7 @@ def _enlarge_at_p(order, p):
         flat = []
         e = _unit(n, i)
         for j in range(n):
-            u = order.mul_coords(e, rad[j])
+            u = _mul(e, rad[j], order.table)
             z = solve_upper_triangular(rad, u)
             assert z is not None, "radical is not an ideal"
             flat.extend(z)
@@ -548,7 +515,7 @@ class AlgebraicInt:
             return AlgebraicInt(self.field, [other * c for c in self.coords])
         self._check(other)
         return AlgebraicInt(
-            self.field, self.field._order.mul_coords(self.coords, other.coords)
+            self.field, _mul(self.coords, other.coords, self.field.times_table)
         )
 
     __rmul__ = __mul__
@@ -570,13 +537,13 @@ class AlgebraicInt:
 class NumberField:
     """Number field with exact integral basis, discriminant, and splitting cache."""
 
-    def __init__(self, order: _Order, index_valuations: dict[int, int]):
+    def __init__(self, order: _Order, index_valuations: dict[int, int], poly_disc: int):
         self._order = order
         self.poly = order.poly
         self.degree = order.n
         self.den = order.den
         self.basis_rows = tuple(tuple(r) for r in order.w)
-        self.poly_disc = poly_discriminant(order.poly)
+        self.poly_disc = poly_disc
         self.index = order.basis_index()
         self.index_valuations = dict(index_valuations)
         assert self.poly_disc % (self.index * self.index) == 0
@@ -610,16 +577,6 @@ class NumberField:
         assert coords is not None
         return AlgebraicInt(self, coords)
 
-    def to_power_coords(self, t: AlgebraicInt):
-        """Power-basis coordinates of t as (integer vector, denominator)."""
-        n = self.degree
-        num = [0] * n
-        for i, c in enumerate(t.coords):
-            if c:
-                for j in range(n):
-                    num[j] += c * self.basis_rows[i][j]
-        return num, self.den
-
     def mult_matrix(self, t: AlgebraicInt):
         """Matrix (rows) of multiplication by t over the integral basis."""
         n = self.degree
@@ -643,12 +600,9 @@ class NumberField:
             cur = list(t.coords)
             rows.append(cur)
             for _ in range(n - 2):
-                cur = self._order.mul_coords(cur, t.coords)
+                cur = _mul(cur, t.coords, self._order.table)
                 rows.append(cur)
         return rows
-
-    def split_prime(self, p: int, *, force_general: bool = False) -> SplittingType:
-        return split_prime(self, p, force_general=force_general)
 
     def __repr__(self):
         return f"NumberField({self.poly}, disc={self.disc})"
@@ -670,7 +624,7 @@ def build_field(f) -> NumberField:
         order, gain = _p_maximalize(order, p)
         if gain:
             index_valuations[p] = gain
-    return NumberField(order, index_valuations)
+    return NumberField(order, index_valuations, disc_f)
 
 
 # -- characteristic polynomial, index, primitivity ----------------------------
@@ -708,9 +662,10 @@ def _minpoly_in_subalgebra(u, unit, table, p):
     vecs = [unit]
     x = u
     while True:
-        if _rank_mod_p(vecs + [x], p) == len(vecs):
-            sol = _solve_mod_p(vecs, x, p)
-            return [(-c) % p for c in sol] + [1]
+        # vecs are independent, so a relation has x's coefficient 1
+        relation = _left_nullspace_mod_p(vecs + [x], p)
+        if relation:
+            return relation[0]
         vecs.append(x)
         x = _alg_mul_mod_p(x, u, table, p)
 
@@ -718,20 +673,13 @@ def _minpoly_in_subalgebra(u, unit, table, p):
 def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
     """Decompose A/pA into local components via idempotent lifting."""
     n = field.degree
-    table = _mod_table(field._order, p)
+    table = _mod_table(field.times_table, p)
 
     def mul(u, v):
         return _alg_mul_mod_p(u, v, table, p)
 
     one = _unit(n, 0)
-    phi = _frobenius_matrix(table, p, n)
-    k = 1
-    q = p
-    while q < n:
-        q *= p
-        k += 1
-    phik = _matpow_mod_p(phi, k, p)
-    radical = _left_nullspace_mod_p(phik, p)
+    radical = _radical_mod_p(table, p, n)
     rad_rref, rad_pivots = _rref_mod_p(radical, p)
     comp_coords = [c for c in range(n) if c not in rad_pivots]
     s = len(comp_coords)

@@ -23,36 +23,34 @@ result is the exact minimum over primitive elements.
 
 Each level is evaluated as one vectorized batch (a data-parallel work pool
 with a max/min reduction at the level barrier); batches are chunked to bound
-memory.  Arithmetic runs in int64 with explicit reduction mod p^m and falls
-back to exact Python integers if the modulus ever outgrows the safe range.
+memory.  Arithmetic runs in int64 with explicit reduction mod p^m, which is
+exact while p^m <= 2^25: a sum of seven products of two residues then stays
+below 2^53.  For n <= 7 the modulus never gets that large.  The i search stops
+by level v_p(n!) <= 4.  The index search stops by level v_p(I(K)) + 1, and
+v_p(I(K)) <= 12 for n <= 7 (Engstrom, Trans. AMS 32, 1930): the worst case
+is 2 splitting completely in degree 7, where at least 9 pairs of the seven
+2-adic components of any integer agree mod 2 and 3 more pairs agree mod 4.
+So p^m <= 2^13.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .arith import check_prime, valuation, vp_factorial
 from .errors import RefinementCapExceeded
+from .numberfield import _mod_table
 
 _INT64_SAFE_MOD = 1 << 25
 _CHUNK = 1 << 16
-
-
-def env_cap_override() -> int | None:
-    """Refinement level cap from INDEXLAB_CAP, if set."""
-    raw = os.environ.get("INDEXLAB_CAP")
-    if raw is None:
-        return None
-    return int(raw)
 
 
 def _np_table(field, mod: int):
     cache = field.invariant_cache.setdefault("np_tables", {})
     t = cache.get(mod)
     if t is None:
-        t = np.array(field.times_table, dtype=np.int64) % mod
+        # reduce the exact table before the cast: its entries can pass 2^63
+        t = np.array(_mod_table(field.times_table, mod), dtype=np.int64)
         cache[mod] = t
     return t
 
@@ -109,8 +107,7 @@ def _i_profile(field, p: int, m: int, classes):
     """Min valuation over x=0..n of charpoly values, per class (m = undecided)."""
     mod = p**m
     n = field.degree
-    if mod > _INT64_SAFE_MOD:
-        return _i_profile_exact(field, p, m, classes)
+    assert mod <= _INT64_SAFE_MOD
     out = np.empty(len(classes), dtype=np.int64)
     table = _np_table(field, mod)
     xs = np.arange(n + 1, dtype=np.int64)
@@ -129,8 +126,7 @@ def _index_profile(field, p: int, m: int, classes):
     """Valuation of the power-basis determinant, per class (m = undecided)."""
     mod = p**m
     n = field.degree
-    if mod > _INT64_SAFE_MOD:
-        return _index_profile_exact(field, p, m, classes)
+    assert mod <= _INT64_SAFE_MOD
     out = np.empty(len(classes), dtype=np.int64)
     table = _np_table(field, mod)
     for lo in range(0, len(classes), _CHUNK):
@@ -149,42 +145,6 @@ def _index_profile(field, p: int, m: int, classes):
         dets = cp[:, n][:, None]  # +- det; sign is irrelevant to the valuation
         out[lo : lo + b] = _min_vp_rows(dets, p, m)
     return out
-
-
-# exact (object-integer) fallbacks for moduli beyond the int64-safe range
-
-
-def _i_profile_exact(field, p, m, classes):
-    from .numberfield import _charpoly_rows
-
-    mod = p**m
-    n = field.degree
-    out = []
-    for row in classes:
-        coords = [int(c) % mod for c in row]
-        mat = field.mult_matrix(field.element(coords))
-        cp = _charpoly_rows(mat)
-        w = m
-        for x in range(n + 1):
-            val = 0
-            for c in cp:
-                val = (val * x + c) % mod
-            if val:
-                w = min(w, valuation(val, p))
-        out.append(w)
-    return np.array(out, dtype=np.int64)
-
-
-def _index_profile_exact(field, p, m, classes):
-    from .intmatrix import det_rows
-
-    mod = p**m
-    out = []
-    for row in classes:
-        coords = [int(c) % mod for c in row]
-        d = det_rows(field.powers_matrix(field.element(coords))) % mod
-        out.append(m if d == 0 else min(m, valuation(d, p)))
-    return np.array(out, dtype=np.int64)
 
 
 # -- public searches -----------------------------------------------------------

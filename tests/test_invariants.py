@@ -165,13 +165,13 @@ def test_refinement_cap_exceeded():
         vp_IK(Kq, 2, cap=0)
 
 
-def test_env_cap_override(monkeypatch):
-    monkeypatch.setenv("INDEXLAB_CAP", "0")
-    K = build_field("x^2 - 17")
-    with pytest.raises(RefinementCapExceeded):
-        vp_iK(K, 2)
-    monkeypatch.setenv("INDEXLAB_CAP", "9")
-    assert vp_iK(K, 2) == 1
+def test_coefficients_beyond_int64_and_translation():
+    # 2^40 in the defining polynomial puts times-table entries above 2^63
+    f = IntPoly([3, 0, 0, 2**40, 0, 0, 1])
+    a, b = [full_report(build_field(g)) for g in (f, f.compose(parse_poly("x + 1")))]
+    assert a.field_disc == b.field_disc
+    assert (a.i_K, a.I_K) == (b.i_K, b.I_K) == (4, 4)
+    assert a.valuations == b.valuations
 
 
 def test_report_is_cached():
