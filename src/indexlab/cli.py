@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .arith import primes_upto
+from .arith import is_prime, primes_upto
 from .errors import (
     DegreeOutOfScope,
     IndexLabError,
@@ -42,20 +42,41 @@ FIELD_ERROR = 3
 BUDGET_ERROR = 4
 
 
+class UsageError(Exception):
+    """A command-line argument outside its documented domain (exit 2)."""
+
+
+def _parse_int(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise UsageError(f"{what}: {tok.strip()!r} is not an integer") from None
+
+
+def _parse_ints(text: str, what: str) -> list[int]:
+    return [_parse_int(tok, what) for tok in text.split(",") if tok.strip()]
+
+
 def _parse_range(text: str) -> list[int]:
     """Parse "A..B" (inclusive) or a comma list "1,2,16"."""
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = _parse_int(lo_text, "--range"), _parse_int(hi_text, "--range")
         if hi < lo:
-            raise ValueError(f"empty range {text!r}")
+            raise UsageError(f"--range: empty range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return _parse_ints(text, "--range")
+
+
+def _check_prime_arg(p: int, what: str) -> int:
+    if not is_prime(p):
+        raise UsageError(f"{what}: {p} is not prime")
+    return p
 
 
 def _parse_primes(text: str) -> list[int]:
-    return sorted({int(tok) for tok in text.split(",") if tok.strip()})
+    return sorted({_check_prime_arg(p, "--primes") for p in _parse_ints(text, "--primes")})
 
 
 def _report_to_json(report: InvariantReport, primes: list[int]) -> dict:
@@ -150,6 +171,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search_t1(args) -> int:
+    if not 2 <= args.degree <= 7:
+        raise UsageError(f"--degree: {args.degree} is outside 2..7")
+    _check_prime_arg(args.prime, "--prime")
+    if args.prime > args.degree:
+        raise UsageError(f"--prime: {args.prime} exceeds the degree {args.degree}")
     result = search_prime_divisor_field(
         args.degree, args.prime, seed=args.seed, budget=args.budget, cap=args.cap
     )
@@ -179,7 +205,7 @@ def cmd_compare(args) -> int:
     if f1.degree != f2.degree:
         sys.stderr.write("polynomials must have the same degree\n")
         return USAGE_ERROR
-    p = args.prime
+    p = _check_prime_arg(args.prime, "--prime")
     k1 = build_field(f1)
     k2 = build_field(f2)
     s1 = split_prime(k1, p)
@@ -263,7 +289,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.cap is not None and args.cap < 1:
+            raise UsageError(f"--cap: the level cap must be at least 1, got {args.cap}")
         return args.func(args)
+    except UsageError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return USAGE_ERROR
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return USAGE_ERROR

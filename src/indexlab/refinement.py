@@ -6,7 +6,20 @@ power-basis index determinant are integer polynomials in an element's
 coordinates, so their values mod p^m agree across every lift of a class mod
 p^m.  A class whose tracked valuation w satisfies w < m therefore has that
 exact value on all of its lifts ("certified"); classes with w >= m are
-subdivided into their p^n children one level deeper.
+subdivided one level deeper.
+
+Coordinate 0 is held at 0 throughout, so level m evaluates p^((n-1)m)
+classes rather than p^(nm), and each class has p^(n-1) children.  This is
+exact because both tracked valuations are unchanged by t -> t + c for c in
+Z, and basis vector 0 is 1 (the HNF basis, see `numberfield`), so adding
+c * e0 is that translation.  F_{t+c}(x) = F_t(x - c), so the gcd of the
+char poly's values over all of Z, whose valuation is the min over x = 0..n,
+does not move; and Z[t + c] = Z[t], since the power-basis matrix of t + c is
+a unimodular triangular transform of that of t.  Every class mod p^m is a
+translate of exactly one class with coordinate 0 equal to 0.  That class
+also comes first among its translates in the full survivor-major order
+(coordinate 0 is the most significant index), so the witness is the one the
+full grid would give.
 
 max_i_valuation tracks w = v_p(gcd of the char poly's values at 0..n), whose
 max over classes is v_p of the lcm invariant.  Because that gcd always
@@ -56,7 +69,8 @@ def _np_table(field, mod: int):
 
 
 def _all_classes(p: int, n: int):
-    grid = np.indices((p,) * n, dtype=np.int64)
+    """The p^(n-1) classes mod p with coordinate 0 held at 0."""
+    grid = np.indices((1,) + (p,) * (n - 1), dtype=np.int64)
     return grid.reshape(n, -1).T.copy()
 
 

@@ -142,3 +142,34 @@ def test_compare_ramified_pair(capsys):
 def test_cap_flag(capsys):
     code, _, _ = run_cli(capsys, ["invariants", "x^2 - 17", "--cap", "9"])
     assert code == 0
+
+
+USAGE_ERRORS = {
+    "empty-range": ["verify", "quadratic", "--range", "5..2"],
+    "non-integer-range": ["verify", "quadratic", "--range", "1,x"],
+    "degree-out-of-scope": ["search-t1", "--degree", "9", "--prime", "2"],
+    "prime-above-degree": ["search-t1", "--degree", "3", "--prime", "5"],
+    "search-non-prime": ["search-t1", "--degree", "5", "--prime", "4"],
+    "compare-non-prime": ["compare", "x^2 - 2", "x^2 - 3", "--prime", "4"],
+    "cap-negative": ["invariants", "x^3 - 2", "--cap", "-1"],
+    "cap-zero": ["verify", "quadratic", "--range", "1..3", "--cap", "0"],
+    "primes-non-prime": ["invariants", "x^3 - 2", "--primes", "4,9"],
+    "primes-non-integer": ["invariants", "x^3 - 2", "--primes", "2,a"],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_cap_exceeded_counts_classes_up_to_translation(capsys):
+    # 8 = 2^3 classes mod 2 with coordinate 0 held at 0
+    code, out, err = run_cli(capsys, ["invariants", "[1,5,-6,-5,1]", "--cap", "1"])
+    assert code == 1 and out == ""
+    assert err == (
+        "error: value-gcd refinement passed level 1 at p=2 (8 classes undecided)\n"
+    )

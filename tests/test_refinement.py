@@ -1,0 +1,102 @@
+"""Refinement searches: the integer-translate symmetry and its reduced grid."""
+
+import numpy as np
+import pytest
+
+from indexlab import refinement
+from indexlab.families import family_polynomial
+from indexlab.intpoly import IntPoly
+from indexlab.invariants import full_report
+from indexlab.numberfield import build_field, split_prime
+
+DEDEKIND = "x^3 - x^2 - 2*x - 8"
+
+
+def roots_plus(k, c):
+    """x(x - 1)...(x - k + 1) + c: every prime p <= k splits completely
+    whenever p | c and the field is p-maximal."""
+    f = IntPoly([1])
+    for r in range(k):
+        f = f * IntPoly([-r, 1])
+    return f + IntPoly([c])
+
+
+def full_grid(p, n):
+    """Every class mod p, coordinate 0 included: the search space before the
+    translate symmetry was used."""
+    return np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T.copy()
+
+
+# (polynomial, primes): degrees 2 to 6, with nonzero i and I valuations
+CORPUS = [
+    ("x^2 - 17", (2,)),
+    (DEDEKIND, (2, 3)),
+    ("x^3 - x + 3", (2, 3)),
+    (family_polynomial("simplest_quartic", 5), (2, 3)),
+    (roots_plus(4, 16), (2, 3)),
+    (family_polynomial("lehmer_quintic", 2), (2, 3, 5)),
+    (roots_plus(5, 243), (3,)),
+    (IntPoly([-3, -2, -2, 2, 3, 1]), (2, 3, 5)),
+    (family_polynomial("simplest_sextic", 8), (2, 3, 5)),
+    (IntPoly([-5, 1, 12, 28, 18, 7, 1]), (2, 3, 5)),
+]
+
+
+TRANSLATE_CASES = {
+    "dedekind-2-1": (DEDEKIND, 2, 1),
+    "dedekind-2-3": (DEDEKIND, 2, 3),
+    "cubic-3-2": ("x^3 - x + 3", 3, 2),
+    "quartic5-2-3": (family_polynomial("simplest_quartic", 5), 2, 3),
+    "split-quartic-2-2": (roots_plus(4, 16), 2, 2),
+    "split-quintic-3-2": (roots_plus(5, 243), 3, 2),
+    "sextic8-2-3": (family_polynomial("simplest_sextic", 8), 2, 3),
+    "sextic8-3-1": (family_polynomial("simplest_sextic", 8), 3, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "poly, p, m", list(TRANSLATE_CASES.values()), ids=list(TRANSLATE_CASES)
+)
+def test_profiles_are_translation_invariant(poly, p, m):
+    K = build_field(poly)
+    n = K.degree
+    mod = p**m
+    rng = np.random.default_rng(17)
+    classes = full_grid(p, n) if m == 1 else rng.integers(0, mod, size=(60, n))
+    base_i = refinement._i_profile(K, p, m, classes)
+    base_idx = refinement._index_profile(K, p, m, classes)
+    for k in range(1, mod):
+        moved = classes.copy()
+        moved[:, 0] += k  # basis vector 0 is 1, so this is theta -> theta + k
+        assert np.array_equal(refinement._i_profile(K, p, m, moved), base_i)
+        assert np.array_equal(refinement._index_profile(K, p, m, moved), base_idx)
+
+
+def test_reduced_searches_match_full_grid(monkeypatch):
+    fields = [(build_field(poly), primes) for poly, primes in CORPUS]
+    reduced = [
+        (refinement.max_i_valuation(K, p), refinement.min_index_valuation(K, p))
+        for K, primes in fields
+        for p in primes
+    ]
+    # _children builds its offsets from _all_classes, so this restores the
+    # full p^n grid at every level
+    monkeypatch.setattr(refinement, "_all_classes", full_grid)
+    full = [
+        (refinement.max_i_valuation(K, p), refinement.min_index_valuation(K, p))
+        for K, primes in fields
+        for p in primes
+    ]
+    assert reduced == full
+    assert any(i_val > 1 for (i_val, _), _ in reduced)
+    assert any(I_val > 1 for _, I_val in reduced)
+
+
+def test_degree5_with_two_split_completely():
+    # five split primes over 2: 3 evens and 2 odds give 4 pairs equal mod 2,
+    # and 1 more pair among the evens is equal mod 4, so v_2(I) = 5
+    K = build_field(roots_plus(5, 4096))
+    assert str(split_prime(K, 2)) == "(1,1)" * 5
+    r = full_report(K)
+    assert r.valuations[2] == (3, 5)
+    assert (r.i_K, r.I_K) == (8, 32)
