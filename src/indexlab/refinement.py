@@ -8,18 +8,42 @@ p^m.  A class whose tracked valuation w satisfies w < m therefore has that
 exact value on all of its lifts ("certified"); classes with w >= m are
 subdivided one level deeper.
 
-Coordinate 0 is held at 0 throughout, so level m evaluates p^((n-1)m)
-classes rather than p^(nm), and each class has p^(n-1) children.  This is
-exact because both tracked valuations are unchanged by t -> t + c for c in
-Z, and basis vector 0 is 1 (the HNF basis, see `numberfield`), so adding
-c * e0 is that translation.  F_{t+c}(x) = F_t(x - c), so the gcd of the
-char poly's values over all of Z, whose valuation is the min over x = 0..n,
-does not move; and Z[t + c] = Z[t], since the power-basis matrix of t + c is
-a unimodular triangular transform of that of t.  Every class mod p^m is a
-translate of exactly one class with coordinate 0 equal to 0.  That class
-also comes first among its translates in the full survivor-major order
-(coordinate 0 is the most significant index), so the witness is the one the
-full grid would give.
+Both searches evaluate one class per orbit of t -> ut + c, where c is in Z
+and u is a unit mod p^m.  Level 1 holds the (p^(n-1) - 1)/(p - 1) classes mod
+p whose coordinate 0 is 0 and whose first nonzero coordinate k equals 1.
+The children of a survivor keep its coordinates 0 and k fixed, so it has
+p^(n-2) of them, and level m evaluates at most
+(p^(n-1) - 1)/(p - 1) * p^((n-2)(m-1)) classes rather than p^(nm).  This is
+exact, for four reasons.
+
+* Translation.  Basis vector 0 is 1 (the HNF basis, see `numberfield`), so
+  adding c * e0 is t -> t + c.  F_{t+c}(x) = F_t(x - c), so the gcd of the
+  char poly's values over all of Z, whose valuation is the min over
+  x = 0..n, does not move; and Z[t + c] = Z[t], since the power-basis
+  matrix of t + c is a unimodular triangular transform of that of t.
+* Unit scaling.  F_{ut}(x) = u^n F_t(x/u), and x -> x/u permutes Z_p, so
+  the min over x of v_p(F(x)) does not move (over Z it equals the min over
+  Z_p, as F(x) mod p^N depends only on x mod p^N).  [Z[t] : Z[ut]] =
+  u^(n(n-1)/2) is prime to p, and the power-basis determinant scales by the
+  same factor.  Scaling keeps coordinate 0 at 0, and a class with a unit
+  coordinate has exactly one unit multiple whose first unit coordinate is 1.
+* The zero class mod p is not needed.  If t = c (mod p), then
+  F_t = (x - c)^n (mod p), so F_t(c + 1) is prime to p: the class certifies
+  at w = 0 and is never the i witness, which is set only when w > best >= 0.
+  And t = c + pt' gives index(t) = p^(n(n-1)/2) index(t'), so
+  v_p(index(t)) >= n(n-1)/2 + v_p(I(K)) > v_p(I(K)): no lift attains the
+  minimum.  So every searched class has a unit coordinate.
+* The witness does not change.  The full grid's order is lexicographic on
+  the base-p digit vectors, least significant digit first (survivor-major),
+  with coordinate 0 most significant within a digit.  Translation moves only
+  coordinate 0, so the first class of an orbit has coordinate 0 equal to 0.
+  Among its unit multiples, the one with coordinate k equal to 1 is first:
+  digit 0 forces u = 1 (mod p); and for u = 1 (mod p^j), digit j of the
+  coordinates before k (which are 0 mod p) is unchanged, while coordinate k
+  has digit j equal to 0, the smallest.  Certified or not is constant on an
+  orbit, so each reduced level is the subsequence of the full level made of
+  orbit representatives, and the first class that attains the maximum (or
+  first survivor at the factorial bound) is the same in both.
 
 max_i_valuation tracks w = v_p(gcd of the char poly's values at 0..n), whose
 max over classes is v_p of the lcm invariant.  Because that gcd always
@@ -68,16 +92,35 @@ def _np_table(field, mod: int):
     return t
 
 
-def _all_classes(p: int, n: int):
-    """The p^(n-1) classes mod p with coordinate 0 held at 0."""
+def _grid(p: int, n: int):
+    """The p^(n-1) classes mod p with coordinate 0 held at 0, in lex order."""
     grid = np.indices((1,) + (p,) * (n - 1), dtype=np.int64)
-    return grid.reshape(n, -1).T.copy()
+    return grid.reshape(n, -1).T
+
+
+def _all_classes(p: int, n: int):
+    """The (p^(n-1) - 1)/(p - 1) classes mod p with coordinate 0 held at 0
+    and first nonzero coordinate equal to 1, in lex order: one per orbit of
+    t -> ut + c."""
+    blocks = []
+    for k in range(n - 1, 0, -1):  # first nonzero coordinate k
+        block = np.zeros((p ** (n - 1 - k), n), dtype=np.int64)
+        block[:, k:] = _grid(p, n - k)
+        block[:, k] = 1
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def _children(survivors, p: int, m: int):
+    """The lifts mod p^(m+1) of each survivor that keep its coordinates 0
+    and k fixed, k being its first coordinate that is a unit mod p."""
     n = survivors.shape[1]
-    offsets = _all_classes(p, n) * (p**m)
-    kids = survivors[:, None, :] + offsets[None, :, :]
+    units = survivors % p != 0
+    assert units.any(axis=1).all()  # the zero class mod p is never searched
+    lead = units.argmax(axis=1)
+    grid = _grid(p, n - 1)
+    offsets = np.stack([np.insert(grid, k, 0, axis=1) for k in range(1, n)]) * (p**m)
+    kids = survivors[:, None, :] + offsets[lead - 1]
     return kids.reshape(-1, n)
 
 

@@ -1,4 +1,4 @@
-"""Refinement searches: the integer-translate symmetry and its reduced grid."""
+"""Refinement searches: the symmetry t -> ut + c and the reduced class sets."""
 
 import numpy as np
 import pytest
@@ -22,9 +22,24 @@ def roots_plus(k, c):
 
 
 def full_grid(p, n):
-    """Every class mod p, coordinate 0 included: the search space before the
-    translate symmetry was used."""
+    """Every class mod p, coordinate 0 included: the search space before
+    any symmetry was used."""
     return np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T.copy()
+
+
+def full_children(survivors, p, m):
+    """Every lift mod p^(m+1) of each survivor, in survivor-major order."""
+    n = survivors.shape[1]
+    kids = survivors[:, None, :] + full_grid(p, n)[None, :, :] * (p**m)
+    return kids.reshape(-1, n)
+
+
+def canonical(x, p, m):
+    """The representative of x's orbit under t -> ut, u a unit mod p^m, whose
+    first coordinate that is a unit mod p equals 1."""
+    k = next(j for j, c in enumerate(x) if c % p)
+    u = pow(int(x[k]), -1, p**m)
+    return tuple(int(c) * u % p**m for c in x)
 
 
 # (polynomial, primes): degrees 2 to 6, with nonzero i and I valuations
@@ -51,6 +66,7 @@ TRANSLATE_CASES = {
     "split-quintic-3-2": (roots_plus(5, 243), 3, 2),
     "sextic8-2-3": (family_polynomial("simplest_sextic", 8), 2, 3),
     "sextic8-3-1": (family_polynomial("simplest_sextic", 8), 3, 1),
+    "lehmer2-5-1": (family_polynomial("lehmer_quintic", 2), 5, 1),
 }
 
 
@@ -70,6 +86,28 @@ def test_profiles_are_translation_invariant(poly, p, m):
         moved[:, 0] += k  # basis vector 0 is 1, so this is theta -> theta + k
         assert np.array_equal(refinement._i_profile(K, p, m, moved), base_i)
         assert np.array_equal(refinement._index_profile(K, p, m, moved), base_idx)
+    for u in range(2, mod):
+        if u % p == 0:
+            continue
+        scaled = (u * classes) % mod  # theta -> u * theta
+        assert np.array_equal(refinement._i_profile(K, p, m, scaled), base_i)
+        assert np.array_equal(refinement._index_profile(K, p, m, scaled), base_idx)
+
+
+@pytest.mark.parametrize("p, n, levels", [(2, 4, 3), (3, 3, 2), (5, 3, 2), (7, 4, 1)])
+def test_class_sets_hold_one_class_per_orbit(p, n, levels):
+    classes = refinement._all_classes(p, n)
+    for m in range(1, levels + 1):
+        if m > 1:
+            classes = refinement._children(classes, p, m - 1)
+        mod = p**m
+        assert len(classes) == (p ** (n - 1) - 1) // (p - 1) * p ** ((n - 2) * (m - 1))
+        # every class mod p^m with coordinate 0 at 0 and not 0 mod p is a
+        # unit multiple of exactly one of them
+        grid = np.indices((mod,) * (n - 1)).reshape(n - 1, -1).T
+        orbits = {canonical((0, *x), p, m) for x in grid if any(c % p for c in x)}
+        reps = {tuple(int(c) for c in x) for x in classes}
+        assert len(reps) == len(classes) and reps == orbits
 
 
 def test_reduced_searches_match_full_grid(monkeypatch):
@@ -79,9 +117,10 @@ def test_reduced_searches_match_full_grid(monkeypatch):
         for K, primes in fields
         for p in primes
     ]
-    # _children builds its offsets from _all_classes, so this restores the
-    # full p^n grid at every level
+    # restore the full p^n grid at every level: no translate or unit is
+    # factored out, and the zero class mod p is searched too
     monkeypatch.setattr(refinement, "_all_classes", full_grid)
+    monkeypatch.setattr(refinement, "_children", full_children)
     full = [
         (refinement.max_i_valuation(K, p), refinement.min_index_valuation(K, p))
         for K, primes in fields
