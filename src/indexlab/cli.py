@@ -2,7 +2,7 @@
 
     indexlab invariants <poly> [--format json|tsv] [--primes 2,3,5]
     indexlab verify <family> --range A..B [--jobs N] [--out FILE]
-    indexlab search-t1 --degree n --prime p [--seed S] [--budget N]
+    indexlab search-t1 --degree n --prime p [--budget N]
     indexlab compare <poly1> <poly2> --prime p
 
 Polynomials are accepted as "[c0,c1,...,cn]" (ascending coefficients) or
@@ -177,7 +177,7 @@ def cmd_search_t1(args) -> int:
     if args.prime > args.degree:
         raise UsageError(f"--prime: {args.prime} exceeds the degree {args.degree}")
     result = search_prime_divisor_field(
-        args.degree, args.prime, seed=args.seed, budget=args.budget, cap=args.cap
+        args.degree, args.prime, budget=args.budget, cap=args.cap
     )
     if args.format == "json":
         payload = {
@@ -268,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_t1 = sub.add_parser("search-t1", help="find a degree-n field with p | i(K)")
     p_t1.add_argument("--degree", type=int, required=True)
     p_t1.add_argument("--prime", type=int, required=True)
-    p_t1.add_argument("--seed", type=int, default=0)
     p_t1.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_t1.add_argument("--format", choices=("json", "tsv"), default="json")
     p_t1.add_argument("--cap", type=int, default=None)

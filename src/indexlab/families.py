@@ -25,6 +25,7 @@ from .errors import (
     UnknownFamily,
 )
 from .intpoly import IntPoly
+from .numberfield import is_irreducible
 
 FAMILY_NAMES = (
     "quadratic",
@@ -66,7 +67,7 @@ class CubicForm:
 
     @classmethod
     def from_pair(cls, a: int, b: int) -> "CubicForm":
-        if not _cubic_is_irreducible(a, b):
+        if not is_irreducible(IntPoly([b, -a, 0, 1])):
             raise NotAField(f"x^3 - {a}x + {b} is reducible")
         if not _cubic_is_reduced(a, b):
             raise NotReduced(f"(a, b) = ({a}, {b}) is not reduced")
@@ -84,19 +85,6 @@ class CubicForm:
         )
 
 
-def _cubic_is_irreducible(a: int, b: int) -> bool:
-    # monic cubic: reducible iff it has an integer root dividing b
-    if b == 0:
-        return False
-    from .arith import divisors
-
-    for d in divisors(b):
-        for r in (d, -d):
-            if r**3 - a * r + b == 0:
-                return False
-    return True
-
-
 def _reducing_prime(a: int, b: int) -> int | None:
     """A prime p with p^3 | b and p^2 | a, or None (b != 0)."""
     for p, e in factorint(b).items():
@@ -111,7 +99,7 @@ def _cubic_is_reduced(a: int, b: int) -> bool:
 
 def cubic_reduce(a: int, b: int) -> tuple[int, int]:
     """Divide (a, b) by (p^2, p^3) while some prime allows it."""
-    if not _cubic_is_irreducible(a, b):
+    if not is_irreducible(IntPoly([b, -a, 0, 1])):
         raise NotAField(f"x^3 - {a}x + {b} is reducible")
     while True:
         p = _reducing_prime(a, b)

@@ -13,9 +13,10 @@ over the integral basis; its square times the field discriminant equals the
 discriminant of the characteristic polynomial of t.
 
 Prime splitting: when the equation order is p-maximal the splitting type is
-read off the factorization of f mod p; otherwise the finite algebra A/pA is
-decomposed into local components by lifting the idempotents of its
-semisimple quotient.
+read off the factorization of f mod p; otherwise it is read off the
+Frobenius x -> x^p on the finite algebra A/pA: its fixed space is spanned by
+the idempotents of the local components, and a high enough power of it maps
+each component onto its residue field.
 """
 
 from __future__ import annotations
@@ -110,13 +111,6 @@ def _matpow_mod_p(m, e, p):
 def _unit(n, i):
     v = [0] * n
     v[i] = 1
-    return v
-
-
-def _eval_mod(coeffs, x, p):
-    v = 0
-    for c in reversed(coeffs):
-        v = (v * x + c) % p
     return v
 
 
@@ -324,16 +318,23 @@ def _frobenius_matrix(table, p, n):
     return rows
 
 
-def _radical_mod_p(table, p, n):
-    """Basis of the nilradical of the algebra with this times table mod p:
-    the kernel of x -> x^(p^k) for the least k with p^k >= n."""
-    phi = _frobenius_matrix(table, p, n)
+def _stable_frobenius(phi, p, n):
+    """Matrix of x -> x^(p^k), the least k with p^k >= n, from Frobenius phi.
+
+    Its kernel is the nilradical and its image the product of the
+    coefficient fields (see `_split_via_algebra`)."""
     k = 1
     q = p
     while q < n:
         q *= p
         k += 1
-    return _left_nullspace_mod_p(_matpow_mod_p(phi, k, p), p)
+    return _matpow_mod_p(phi, k, p)
+
+
+def _radical_mod_p(table, p, n):
+    """Basis of the nilradical of the algebra with this times table mod p."""
+    phi = _frobenius_matrix(table, p, n)
+    return _left_nullspace_mod_p(_stable_frobenius(phi, p, n), p)
 
 
 def _radical_rows(order, p):
@@ -657,21 +658,41 @@ def _split_via_poly(field: NumberField, p: int) -> SplittingType:
     return SplittingType((e, g.degree) for g, e in fac.factors)
 
 
-def _minpoly_in_subalgebra(u, unit, table, p):
-    """Min poly (ascending, monic) of u in the subalgebra with unity `unit`."""
-    vecs = [unit]
+def _minpoly_mod_p(u, table, p) -> ModPoly:
+    """Min poly of u in the algebra with this times table mod p."""
+    vecs = [_unit(len(u), 0)]
     x = u
     while True:
         # vecs are independent, so a relation has x's coefficient 1
         relation = _left_nullspace_mod_p(vecs + [x], p)
         if relation:
-            return relation[0]
+            return ModPoly(p, relation[0])
         vecs.append(x)
         x = _alg_mul_mod_p(x, u, table, p)
 
 
 def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
-    """Decompose A/pA into local components via idempotent lifting."""
+    """Read the splitting type of p off Frobenius on A = O/pO.
+
+    A is the product of the local algebras A_i = O/P_i^(e_i), and A_i has
+    dimension e_i*f_i and residue field F_(p^f_i).  In characteristic p the
+    Frobenius x -> x^p is F_p-linear; let Phi be its matrix and Phi^k, with
+    p^k >= n, the matrix of x -> x^(p^k).
+
+    * The fixed space ker(Phi - I) is spanned by the primitive idempotents
+      E_i.  If x^p = x, then x = x^(p^k) lies in the coefficient field
+      T_i = F_(p^f_i) of each A_i (below), and there x^p = x forces the
+      component into F_p.
+    * Im Phi^k is the product of the T_i.  Write x = t + j with t in T_i and
+      j nilpotent: x^(p^k) = t^(p^k), since the radical's n-th power is 0
+      and p^k >= n, and Frobenius is bijective on T_i.  So E_i * Im Phi^k
+      has rank f_i, and E_i * A has rank e_i*f_i.
+    * A vector v of the fixed space is constant in F_p on each component,
+      so its min poly divides x^p - x and its roots are among 0..p-1.  For a
+      root c, the product over the other roots c' of (v - c')/(c - c') is
+      the sum of the E_i on which v equals c.  Refining by every vector of
+      a basis of the fixed space separates all the components.
+    """
     n = field.degree
     table = _mod_table(field.times_table, p)
 
@@ -679,87 +700,28 @@ def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
         return _alg_mul_mod_p(u, v, table, p)
 
     one = _unit(n, 0)
-    radical = _radical_mod_p(table, p, n)
-    rad_rref, rad_pivots = _rref_mod_p(radical, p)
-    comp_coords = [c for c in range(n) if c not in rad_pivots]
-    s = len(comp_coords)
-    assert s >= 1, "A/pA cannot be nilpotent"
+    phi = _frobenius_matrix(table, p, n)
+    fix = [[(phi[a][b] - (1 if a == b else 0)) % p for b in range(n)] for a in range(n)]
+    idempotents = [one]
+    for v in _left_nullspace_mod_p(fix, p):
+        mp = _minpoly_mod_p(v, table, p)
+        roots = [c for c in range(p) if mp(c) == 0]
+        parts = []
+        for c in roots:
+            part = one
+            for c2 in roots:
+                if c2 != c:
+                    inv = pow(c - c2, -1, p)
+                    part = mul(part, [(x - c2 * o) * inv for x, o in zip(v, one)])
+            parts.append(part)
+        products = (mul(e, part) for e in idempotents for part in parts)
+        idempotents = [e for e in products if any(e)]
 
-    def project(v):
-        rem = [c % p for c in v]
-        for r, pc in enumerate(rad_pivots):
-            f = rem[pc]
-            if f:
-                rem = [(a - f * b) % p for a, b in zip(rem, rad_rref[r])]
-        return [rem[c] for c in comp_coords]
-
-    def lift(y):
-        v = [0] * n
-        for c, val in zip(comp_coords, y):
-            v[c] = val % p
-        return v
-
-    s_table = [
-        [project(mul(lift(_unit(s, a)), lift(_unit(s, b)))) for b in range(s)]
-        for a in range(s)
-    ]
-
-    def s_mul(u, v):
-        return _alg_mul_mod_p(u, v, s_table, p)
-
-    one_s = project(one)
-
-    def s_pow(v, e):
-        acc = one_s
-        base = v
-        while e:
-            if e & 1:
-                acc = s_mul(acc, base)
-            base = s_mul(base, base)
-            e >>= 1
-        return acc
-
-    # the Frobenius-fixed subspace of the semisimple quotient is spanned by
-    # its primitive idempotents; splitting along a basis of it separates all
-    # the residue fields
-    phi_s = [s_pow(_unit(s, a), p) for a in range(s)]
-    fix = [[(phi_s[a][b] - (1 if a == b else 0)) % p for b in range(s)] for a in range(s)]
-    v_basis = _left_nullspace_mod_p(fix, p)
-
-    idempotents = [one_s]
-    for v in v_basis:
-        new = []
-        for e in idempotents:
-            u = s_mul(v, e)
-            mp = _minpoly_in_subalgebra(u, e, s_table, p)
-            roots = [c for c in range(p) if _eval_mod(mp, c, p) == 0]
-            if len(roots) <= 1:
-                new.append(e)
-                continue
-            for c in roots:
-                ec = e
-                for c2 in roots:
-                    if c2 == c:
-                        continue
-                    inv = pow((c - c2) % p, -1, p)
-                    factor = [((a - c2 * b) * inv) % p for a, b in zip(u, e)]
-                    ec = s_mul(ec, factor)
-                new.append(ec)
-        idempotents = new
-
+    image = _stable_frobenius(phi, p, n)
     pairs = []
-    for e_s in idempotents:
-        f_deg = _rank_mod_p([s_mul(e_s, _unit(s, a)) for a in range(s)], p)
-        e_full = lift(e_s)
-        for _ in range(10):
-            sq = mul(e_full, e_full)
-            if sq == e_full:
-                break
-            cube = mul(sq, e_full)
-            e_full = [(3 * a - 2 * b) % p for a, b in zip(sq, cube)]
-        else:
-            raise AssertionError("idempotent lifting did not converge")
-        dim = _rank_mod_p([mul(e_full, _unit(n, a)) for a in range(n)], p)
+    for e in idempotents:
+        f_deg = _rank_mod_p([mul(e, row) for row in image], p)
+        dim = _rank_mod_p([mul(e, _unit(n, a)) for a in range(n)], p)
         assert dim % f_deg == 0
         pairs.append((dim // f_deg, f_deg))
     st = SplittingType(pairs)
@@ -767,19 +729,15 @@ def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
     return st
 
 
-def split_prime(field: NumberField, p: int, *, force_general: bool = False) -> SplittingType:
+def split_prime(field: NumberField, p: int) -> SplittingType:
     """Exact splitting type {(e_i, f_i)} of p in the field.
 
     Fast path reads the factorization of the defining polynomial mod p when
-    the equation order is p-maximal; otherwise (or when forced) the quotient
-    algebra A/pA is decomposed into local components.  Results are cached
-    per field: concurrent readers are safe and the first writer wins.
+    the equation order is p-maximal; otherwise the quotient algebra A/pA is
+    decomposed into local components.  Results are cached per field:
+    concurrent readers are safe and the first writer wins.
     """
     check_prime(p)
-    if force_general:
-        st = _split_via_algebra(field, p)
-        assert st.residue_sum == field.degree
-        return st
     with field._cache_lock:
         cached = field._split_cache.get(p)
     if cached is not None:

@@ -204,6 +204,16 @@ def _index_profile(field, p: int, m: int, classes):
     return out
 
 
+def _cap_exceeded(search: str, level_cap: int, p: int, undecided: int, best=None):
+    """The error for a search that would pass its level cap with `undecided`
+    classes not yet certified at that level."""
+    so_far = "" if best is None else f", best so far {best}"
+    return RefinementCapExceeded(
+        f"{search} refinement passed level {level_cap} at p={p} "
+        f"({undecided} classes undecided{so_far})"
+    )
+
+
 # -- public searches -----------------------------------------------------------
 
 
@@ -222,13 +232,10 @@ def max_i_valuation(field, p: int, cap: int | None = None):
     best = 0
     witness = None
     classes = _all_classes(p, n)
+    if level_cap < 1:
+        raise _cap_exceeded("value-gcd", level_cap, p, len(classes))
     m = 1
     while len(classes):
-        if m > level_cap:
-            raise RefinementCapExceeded(
-                f"value-gcd refinement passed level {level_cap} at p={p} "
-                f"({len(classes)} classes undecided)"
-            )
         profile = _i_profile(field, p, m, classes)
         certified = profile < m
         if certified.any():
@@ -246,6 +253,8 @@ def max_i_valuation(field, p: int, cap: int | None = None):
                 best = bound
                 witness = (m, tuple(int(x) for x in survivors[0]))
             break
+        if m >= level_cap:
+            raise _cap_exceeded("value-gcd", level_cap, p, len(survivors))
         classes = _children(survivors, p, m)
         m += 1
     return best, witness
@@ -267,13 +276,10 @@ def min_index_valuation(field, p: int, cap: int | None = None) -> int:
             2 * vp_factorial(n, p) + valuation(field.disc, p) + 2, best + 2
         )
     classes = _all_classes(p, n)
+    if level_cap < 1:
+        raise _cap_exceeded("index", level_cap, p, len(classes), best)
     m = 1
     while len(classes):
-        if m > level_cap:
-            raise RefinementCapExceeded(
-                f"index refinement passed level {level_cap} at p={p} "
-                f"({len(classes)} classes undecided, best so far {best})"
-            )
         profile = _index_profile(field, p, m, classes)
         certified = profile < m
         if certified.any():
@@ -284,6 +290,8 @@ def min_index_valuation(field, p: int, cap: int | None = None) -> int:
         if not len(survivors) or m >= best:
             # survivors carry valuation >= m and cannot beat the minimum
             break
+        if m >= level_cap:
+            raise _cap_exceeded("index", level_cap, p, len(survivors), best)
         classes = _children(survivors, p, m)
         m += 1
     return best

@@ -5,15 +5,15 @@ The targeted construction picks at least p distinct monic irreducibles over
 F_p with degrees summing to n, multiplies them, and lifts the product to a
 monic integer polynomial.  Any irreducible lift works: the product is
 squarefree mod p, so the equation order is p-maximal, p then has >= p
-distinct prime factors, and p divides i(K).  A seeded random coefficient
-box is kept as a fallback; every hit is re-verified through the exact
-engine before being returned.
+distinct prime factors, and p divides i(K).  The candidates are that product
+plus p times small perturbations below the leading term; for every
+2 <= n <= 7 and p <= n one of the first three is irreducible.  Every hit is
+re-verified through the exact engine before being returned.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .arith import check_prime
@@ -21,7 +21,7 @@ from .errors import ReduciblePolynomial, SearchBudgetExhausted
 from .intpoly import IntPoly
 from .invariants import InvariantReport, full_report
 from .modpoly import monic_irreducibles
-from .numberfield import build_field, is_irreducible
+from .numberfield import build_field
 
 DEFAULT_BUDGET = 20_000
 
@@ -56,30 +56,19 @@ def _targeted_candidates(n: int, p: int):
             yield base + IntPoly(g)
 
 
-def _random_candidates(n: int, p: int, seed: int):
-    rng = random.Random(seed)
-    while True:
-        coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]
-        yield IntPoly(coeffs)
-
-
 def search_prime_divisor_field(
-    n: int, p: int, seed: int = 0, budget: int = DEFAULT_BUDGET, cap: int | None = None
+    n: int, p: int, budget: int = DEFAULT_BUDGET, cap: int | None = None
 ) -> SearchResult:
-    """First monic degree-n f (targeted order, then seeded random) whose
-    field satisfies p | i(K), verified by the exact engine."""
+    """First monic degree-n f in the targeted order whose field satisfies
+    p | i(K), verified by the exact engine."""
     check_prime(p)
     if not 2 <= n <= 7 or p > n:
         raise ValueError("need a prime p <= n and 2 <= n <= 7")
     tried = 0
-    for f in itertools.chain(_targeted_candidates(n, p), _random_candidates(n, p, seed)):
+    for f in _targeted_candidates(n, p):
         if tried >= budget:
-            raise SearchBudgetExhausted(
-                f"no degree-{n} field with {p} | i(K) within {budget} candidates"
-            )
+            break
         tried += 1
-        if not is_irreducible(f):
-            continue
         try:
             field = build_field(f)
         except ReduciblePolynomial:
@@ -87,4 +76,6 @@ def search_prime_divisor_field(
         report = full_report(field, cap)
         if report.i_K % p == 0:
             return SearchResult(poly=f, report=report, candidates_tried=tried)
-    raise AssertionError("unreachable")
+    raise SearchBudgetExhausted(
+        f"no degree-{n} field with {p} | i(K) within {tried} candidates"
+    )

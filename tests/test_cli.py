@@ -167,10 +167,10 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
 
 
 def test_cap_exceeded_counts_classes_up_to_unit_multiple_and_translation(capsys):
-    # one class mod 2 survives level 1; its 4 = 2^2 children mod 4 keep
-    # coordinate 0 and its first odd coordinate fixed
+    # level 1 holds the 7 classes mod 2 with coordinate 0 at 0 and first
+    # nonzero coordinate 1, one per orbit of t -> ut + c; one stays undecided
     code, out, err = run_cli(capsys, ["invariants", "[1,5,-6,-5,1]", "--cap", "1"])
     assert code == 1 and out == ""
     assert err == (
-        "error: value-gcd refinement passed level 1 at p=2 (4 classes undecided)\n"
+        "error: value-gcd refinement passed level 1 at p=2 (1 classes undecided)\n"
     )

@@ -18,6 +18,7 @@ from indexlab.errors import DegreeOutOfScope, InvalidDegree, ReduciblePolynomial
 from indexlab.intpoly import IntPoly, parse_poly, poly_discriminant
 from indexlab.numberfield import (
     SplittingType,
+    _split_via_algebra,
     build_field,
     char_poly,
     dedekind_test,
@@ -224,7 +225,7 @@ def test_split_oracles_small_fields():
     ]
     for poly, p in cases:
         K = build_field(poly)
-        st = split_prime(K, p, force_general=True)
+        st = _split_via_algebra(K, p)
         assert st.residue_sum == K.degree
         assert idempotent_count(K, p) == 2**st.num_primes
         fixed = frobenius_fixed_counts(K, p)
@@ -239,14 +240,36 @@ def test_split_fast_and_general_paths_agree():
     rng = random.Random(17)
     checked = 0
     while checked < 25:
-        deg = rng.randint(2, 4)
+        deg = rng.randint(2, 7)
         f = IntPoly([rng.randint(-9, 9) for _ in range(deg)] + [1])
         if not is_irreducible(f):
             continue
         K = build_field(f)
-        for p in (2, 3, 5):
+        for p in (2, 3, 5, 7):
             if K.index_valuations.get(p, 0) == 0:
-                assert split_prime(K, p) == split_prime(K, p, force_general=True)
+                assert split_prime(K, p) == _split_via_algebra(K, p)
+        checked += 1
+
+
+@pytest.mark.parametrize("q", [11, 13, 101])
+def test_general_split_at_large_index_primes(q):
+    # K' = Q(q*theta + r) is K again, but its defining polynomial has q | index,
+    # so split_prime(K', q) takes the algebra path while split_prime(K, q)
+    # reads f mod q: two independent routes to the same splitting type
+    rng = random.Random(q)
+    checked = 0
+    while checked < 6:
+        deg = rng.randint(2, 7)
+        g = IntPoly([rng.randint(-9, 9) for _ in range(deg)] + [1])
+        if not is_irreducible(g):
+            continue
+        K = build_field(g)
+        if K.index_valuations.get(q, 0):
+            continue
+        t = K.generator() * q + K.rational(rng.randint(-5, 5))
+        K2 = build_field(char_poly(K, t))
+        assert K2.index_valuations[q] > 0 and K2.disc == K.disc
+        assert split_prime(K2, q) == split_prime(K, q)
         checked += 1
 
 
