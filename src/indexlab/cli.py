@@ -9,8 +9,9 @@ Polynomials are accepted as "[c0,c1,...,cn]" (ascending coefficients) or
 symbolically like "x^3 - 13*x + 4".  Output is byte-deterministic for a
 fixed input and format: JSON keys are sorted and big integers are printed
 as decimal strings.  Exit codes: 0 success/verified, 2 usage or parse
-error, 3 invalid field, 4 search budget exhausted.  --cap overrides the
-refinement level cap.
+error, 3 invalid field, 4 search budget exhausted.  Without --cap both
+refinement searches run to completion; --cap N only stops a search that
+would pass level N (exit 1), and a result it lets through is exact.
 """
 
 from __future__ import annotations

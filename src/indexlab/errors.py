@@ -38,8 +38,8 @@ class DegreeOutOfScope(IndexLabError):
 
 
 class RefinementCapExceeded(IndexLabError):
-    """Residue refinement ran past its level cap; indicates a bug or a
-    deliberately lowered cap override."""
+    """Residue refinement would pass the level cap it was given.  Without a
+    cap the searches run to completion, so this only stops a run early."""
 
 
 class NotAField(IndexLabError):

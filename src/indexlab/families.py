@@ -27,16 +27,6 @@ from .errors import (
 from .intpoly import IntPoly
 from .numberfield import is_irreducible
 
-FAMILY_NAMES = (
-    "quadratic",
-    "pure_cubic",
-    "simplest_cubic",
-    "simplest_quartic",
-    "lehmer_quintic",
-    "simplest_sextic",
-)
-
-
 @dataclass(frozen=True)
 class FamilyPrediction:
     """Predicted invariants for one family member.
@@ -243,49 +233,50 @@ def quadratic_predict(m: int) -> FamilyPrediction:
     )
 
 
-_PREDICTORS = {
-    "quadratic": quadratic_predict,
-    "pure_cubic": pure_cubic_predict,
-    "simplest_cubic": simplest_cubic_predict,
-    "simplest_quartic": simplest_quartic_predict,
-    "lehmer_quintic": lehmer_quintic_predict,
-    "simplest_sextic": simplest_sextic_predict,
+def _lehmer_quintic_poly(m: int) -> IntPoly:
+    return IntPoly(
+        [
+            1,
+            m**3 + 4 * m**2 + 10 * m + 10,
+            m**4 + 5 * m**3 + 11 * m**2 + 15 * m + 5,
+            -(2 * m**3 + 6 * m**2 + 10 * m + 10),
+            m**2,
+            1,
+        ]
+    )
+
+
+# family name -> (predictor, defining polynomial at parameter m)
+_FAMILIES = {
+    "quadratic": (quadratic_predict, lambda m: IntPoly([-m, 0, 1])),
+    "pure_cubic": (pure_cubic_predict, lambda m: IntPoly([-m, 0, 0, 1])),
+    "simplest_cubic": (simplest_cubic_predict, lambda m: IntPoly([-1, -(m + 3), -m, 1])),
+    "simplest_quartic": (simplest_quartic_predict, lambda m: IntPoly([1, m, -6, -m, 1])),
+    "lehmer_quintic": (lehmer_quintic_predict, _lehmer_quintic_poly),
+    "simplest_sextic": (
+        simplest_sextic_predict,
+        lambda m: IntPoly([1, 2 * m + 6, 5 * m, -20, -(5 * m + 15), -2 * m, 1]),
+    ),
 }
+
+FAMILY_NAMES = tuple(_FAMILIES)
+
+
+def _family(name: str):
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise UnknownFamily(f"unknown family {name!r}") from None
 
 
 def family_polynomial(family: str, m: int) -> IntPoly:
     """Defining polynomial of the family member at parameter m."""
-    if family == "quadratic":
-        return IntPoly([-m, 0, 1])
-    if family == "pure_cubic":
-        return IntPoly([-m, 0, 0, 1])
-    if family == "simplest_cubic":
-        return IntPoly([-1, -(m + 3), -m, 1])
-    if family == "simplest_quartic":
-        return IntPoly([1, m, -6, -m, 1])
-    if family == "lehmer_quintic":
-        return IntPoly(
-            [
-                1,
-                m**3 + 4 * m**2 + 10 * m + 10,
-                m**4 + 5 * m**3 + 11 * m**2 + 15 * m + 5,
-                -(2 * m**3 + 6 * m**2 + 10 * m + 10),
-                m**2,
-                1,
-            ]
-        )
-    if family == "simplest_sextic":
-        return IntPoly([1, 2 * m + 6, 5 * m, -20, -(5 * m + 15), -2 * m, 1])
-    raise UnknownFamily(f"unknown family {family!r}")
+    return _family(family)[1](m)
 
 
 def predict(family: str, m: int) -> FamilyPrediction:
     """Dispatch to the family's predictor."""
-    try:
-        predictor = _PREDICTORS[family]
-    except KeyError:
-        raise UnknownFamily(f"unknown family {family!r}") from None
-    return predictor(m)
+    return _family(family)[0](m)
 
 
 # -- differential verification --------------------------------------------------
@@ -412,8 +403,7 @@ def verify_family(family: str, params, jobs: int = 1, cap: int | None = None) ->
     Parameter points are distributed over a process pool when jobs > 1; rows
     are merged in parameter order either way.
     """
-    if family not in _PREDICTORS:
-        raise UnknownFamily(f"unknown family {family!r}")
+    _family(family)  # an unknown name fails before any work
     ms = sorted(set(int(m) for m in params))
     if jobs > 1 and len(ms) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -43,13 +43,8 @@ def i_theta(field: NumberField, t: AlgebraicInt) -> int:
 
 
 def _cached(search, field: NumberField, p: int, cap):
-    # an explicit cap is a diagnostic mode and bypasses the cache
-    if cap is not None:
-        return search(field, p, cap=cap)
-    cache = field.invariant_cache.setdefault(search.__name__, {})
-    if p not in cache:
-        cache[p] = search(field, p)
-    return cache[p]
+    # a result that a cap lets through is exact, so it is memoised as well
+    return field.memo((search.__name__, p), lambda: search(field, p, cap=cap))
 
 
 def vp_iK(field: NumberField, p: int, cap=None) -> int:
@@ -152,17 +147,20 @@ def full_report(field: NumberField, cap=None) -> InvariantReport:
 
     i(K) and I(K) are products over all primes p <= n of the refinement
     valuations; the report also carries the splitting-based support so the
-    two characterizations can be compared independently.
+    two characterizations can be compared independently.  The report is
+    memoised per field; a cap only stops a search early, so every report
+    that is returned is exact.
     """
-    cached = field.invariant_cache.get("report")
-    if cached is not None and cap is None:
-        return cached
+    return field.memo("report", lambda: _build_report(field, cap))
+
+
+def _build_report(field: NumberField, cap) -> InvariantReport:
     n = field.degree
     primes = primes_upto(n)
     splittings = {p: split_prime(field, p) for p in primes}
     valuations = {p: (vp_iK(field, p, cap), vp_IK(field, p, cap)) for p in primes}
     witness = good_element(field, cap)
-    report = InvariantReport(
+    return InvariantReport(
         poly=field.poly,
         degree=n,
         field_disc=field.disc,
@@ -174,6 +172,3 @@ def full_report(field: NumberField, cap=None) -> InvariantReport:
         witness_char_poly=char_poly(field, witness),
         maccluer=maccluer_support(field),
     )
-    if cap is None:
-        field.invariant_cache.setdefault("report", report)
-    return report

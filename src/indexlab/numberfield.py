@@ -22,7 +22,6 @@ each component onto its residue field.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .arith import INFINITY, check_prime, divisors, square_divisor_primes
@@ -148,7 +147,10 @@ def is_irreducible(f) -> bool:
     """Exact irreducibility over Q for monic integer polynomials.
 
     Rational-root test, then modular degree-pattern certificates; the rare
-    inconclusive cases fall back to sympy's exact factorization.
+    inconclusive cases fall back to sympy's exact factorization.  A repeated
+    factor needs no test of its own: for n <= 3 it is linear, so the
+    rational-root test finds it; for n >= 4, f is squarefree mod no prime,
+    so the degree-pattern loop skips every prime and sympy decides.
     """
     f = as_poly(f)
     n = f.degree
@@ -160,8 +162,6 @@ def is_irreducible(f) -> bool:
         return True
     c0 = f(0)
     if c0 == 0:
-        return False
-    if poly_discriminant(f) == 0:
         return False
     for d in divisors(c0):
         if f(d) == 0 or f(-d) == 0:
@@ -536,7 +536,7 @@ class AlgebraicInt:
 
 
 class NumberField:
-    """Number field with exact integral basis, discriminant, and splitting cache."""
+    """Number field with exact integral basis, discriminant, and a memo."""
 
     def __init__(self, order: _Order, index_valuations: dict[int, int], poly_disc: int):
         self._order = order
@@ -550,9 +550,18 @@ class NumberField:
         assert self.poly_disc % (self.index * self.index) == 0
         self.disc = self.poly_disc // (self.index * self.index)
         assert self.disc % 4 in (0, 1), "field discriminant must be 0 or 1 mod 4"
-        self._split_cache: dict[int, SplittingType] = {}
-        self._cache_lock = threading.Lock()
-        self.invariant_cache: dict = {}
+        self._memo: dict = {}
+
+    def memo(self, key, compute):
+        """The value under `key`, from `compute()` on its first use.
+
+        Splitting types, reduced times tables, search results and the report
+        are kept here.  The first value stored wins (`dict.setdefault`), so
+        callers that race on one key all get the same object.
+        """
+        if key in self._memo:
+            return self._memo[key]
+        return self._memo.setdefault(key, compute())
 
     @property
     def basis(self) -> IntMatrix:
@@ -581,17 +590,9 @@ class NumberField:
     def mult_matrix(self, t: AlgebraicInt):
         """Matrix (rows) of multiplication by t over the integral basis."""
         n = self.degree
-        table = self._order.table
-        rows = []
-        for j in range(n):
-            acc = [0] * n
-            for i, ti in enumerate(t.coords):
-                if ti:
-                    tij = table[i][j]
-                    for k in range(n):
-                        acc[k] += ti * tij[k]
-            rows.append(acc)
-        return rows
+        # row j is e_j * t (the table is symmetric); with e_j as the first
+        # factor the product loop skips all but one outer entry
+        return [_mul(_unit(n, j), t.coords, self._order.table) for j in range(n)]
 
     def powers_matrix(self, t: AlgebraicInt):
         """Rows: coordinates of 1, t, ..., t^(n-1) over the integral basis."""
@@ -734,19 +735,17 @@ def split_prime(field: NumberField, p: int) -> SplittingType:
 
     Fast path reads the factorization of the defining polynomial mod p when
     the equation order is p-maximal; otherwise the quotient algebra A/pA is
-    decomposed into local components.  Results are cached per field:
-    concurrent readers are safe and the first writer wins.
+    decomposed into local components.  Results are memoised per field, and
+    the first one stored wins.
     """
     check_prime(p)
-    with field._cache_lock:
-        cached = field._split_cache.get(p)
-    if cached is not None:
-        return cached
-    if field.index_valuations.get(p, 0) == 0:
-        st = _split_via_poly(field, p)
-    else:
-        st = _split_via_algebra(field, p)
-    assert st.residue_sum == field.degree
-    with field._cache_lock:
-        st = field._split_cache.setdefault(p, st)
-    return st
+
+    def compute():
+        if field.index_valuations.get(p, 0) == 0:
+            st = _split_via_poly(field, p)
+        else:
+            st = _split_via_algebra(field, p)
+        assert st.residue_sum == field.degree
+        return st
+
+    return field.memo(("split", p), compute)

@@ -58,6 +58,21 @@ by level c + 1.  Certified classes have nonzero determinant, hence consist
 of primitive elements; undecided classes never contribute a value, so the
 result is the exact minimum over primitive elements.
 
+So neither search needs a level cap to stop: with cap=None it runs to
+completion.  A cap only stops a search early, by raising
+RefinementCapExceeded where it would otherwise build level cap + 1 (or
+level 1, for a cap below 1), so a result that a cap lets through is the
+exact one.  A cap never binds once it reaches the level where the search
+stops by itself:
+
+* The i search, at a cap >= v_p(n!), and v_p(n!) >= 1 for p <= n.  The
+  loop breaks at m >= v_p(n!) before its cap test, so that test only runs
+  with m < v_p(n!) <= cap, and the test before level 1 sees a cap >= 1.
+* The index search, at a cap >= best0, where best0 >= 1 is the generator's
+  valuation (at best0 = 0 it returns before any cap test).  The loop
+  breaks at best == 0 or m >= best before its cap test, and best <= best0,
+  so that test only runs with m < best0 <= cap.
+
 Each level is evaluated as one vectorized batch (a data-parallel work pool
 with a max/min reduction at the level barrier); batches are chunked to bound
 memory.  Arithmetic runs in int64 with explicit reduction mod p^m, which is
@@ -74,7 +89,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arith import check_prime, valuation, vp_factorial
+from .arith import check_prime, vp_factorial
 from .errors import RefinementCapExceeded
 from .numberfield import _mod_table
 
@@ -83,13 +98,11 @@ _CHUNK = 1 << 16
 
 
 def _np_table(field, mod: int):
-    cache = field.invariant_cache.setdefault("np_tables", {})
-    t = cache.get(mod)
-    if t is None:
-        # reduce the exact table before the cast: its entries can pass 2^63
-        t = np.array(_mod_table(field.times_table, mod), dtype=np.int64)
-        cache[mod] = t
-    return t
+    # reduce the exact table before the cast: its entries can pass 2^63
+    return field.memo(
+        ("np_table", mod),
+        lambda: np.array(_mod_table(field.times_table, mod), dtype=np.int64),
+    )
 
 
 def _grid(p: int, n: int):
@@ -221,19 +234,20 @@ def max_i_valuation(field, p: int, cap: int | None = None):
     """(max over primitive t of v_p(gcd of char-poly values), witness class).
 
     The witness is (level m, coordinate tuple mod p^m): every lift of that
-    class attains the maximum.  Returns (0, None) for p > degree.
+    class attains the maximum.  Returns (0, None) for p > degree.  The
+    search stops by itself by level v_p(n!); a cap only stops it earlier,
+    with RefinementCapExceeded (see the module docstring).
     """
     check_prime(p)
     n = field.degree
     if p > n:
         return 0, None
     bound = vp_factorial(n, p)
-    level_cap = cap if cap is not None else bound + 1
     best = 0
     witness = None
     classes = _all_classes(p, n)
-    if level_cap < 1:
-        raise _cap_exceeded("value-gcd", level_cap, p, len(classes))
+    if cap is not None and cap < 1:
+        raise _cap_exceeded("value-gcd", cap, p, len(classes))
     m = 1
     while len(classes):
         profile = _i_profile(field, p, m, classes)
@@ -253,15 +267,19 @@ def max_i_valuation(field, p: int, cap: int | None = None):
                 best = bound
                 witness = (m, tuple(int(x) for x in survivors[0]))
             break
-        if m >= level_cap:
-            raise _cap_exceeded("value-gcd", level_cap, p, len(survivors))
+        if cap is not None and m >= cap:
+            raise _cap_exceeded("value-gcd", cap, p, len(survivors))
         classes = _children(survivors, p, m)
         m += 1
     return best, witness
 
 
 def min_index_valuation(field, p: int, cap: int | None = None) -> int:
-    """Min over primitive t of v_p([A : Z[t]]); 0 for p > degree."""
+    """Min over primitive t of v_p([A : Z[t]]); 0 for p > degree.
+
+    The search stops by itself by level v_p([A : Z[theta]]); a cap only
+    stops it earlier, with RefinementCapExceeded (see the module docstring).
+    """
     check_prime(p)
     n = field.degree
     if p > n:
@@ -269,15 +287,9 @@ def min_index_valuation(field, p: int, cap: int | None = None) -> int:
     best = field.index_valuations.get(p, 0)  # attained by the generator
     if best == 0:
         return 0
-    if cap is not None:
-        level_cap = cap
-    else:
-        level_cap = max(
-            2 * vp_factorial(n, p) + valuation(field.disc, p) + 2, best + 2
-        )
     classes = _all_classes(p, n)
-    if level_cap < 1:
-        raise _cap_exceeded("index", level_cap, p, len(classes), best)
+    if cap is not None and cap < 1:
+        raise _cap_exceeded("index", cap, p, len(classes), best)
     m = 1
     while len(classes):
         profile = _index_profile(field, p, m, classes)
@@ -290,8 +302,8 @@ def min_index_valuation(field, p: int, cap: int | None = None) -> int:
         if not len(survivors) or m >= best:
             # survivors carry valuation >= m and cannot beat the minimum
             break
-        if m >= level_cap:
-            raise _cap_exceeded("index", level_cap, p, len(survivors), best)
+        if cap is not None and m >= cap:
+            raise _cap_exceeded("index", cap, p, len(survivors), best)
         classes = _children(survivors, p, m)
         m += 1
     return best

@@ -31,11 +31,7 @@ def run(argv):
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def _load():
-    return json.loads(GOLDEN.read_text())
-
-
-CASES = _load()
+CASES = json.loads(GOLDEN.read_text())
 
 
 @pytest.mark.parametrize(

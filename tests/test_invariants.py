@@ -1,10 +1,12 @@
 """Index invariants: element values, refinement searches, witnesses."""
 
+import functools
 import math
 import random
 
 import pytest
 
+from indexlab import cli, invariants
 from indexlab.arith import gcd_all, primes_upto, valuation, vp_factorial
 from indexlab.errors import RefinementCapExceeded
 from indexlab.intpoly import IntPoly, parse_poly
@@ -177,3 +179,27 @@ def test_coefficients_beyond_int64_and_translation():
 def test_report_is_cached():
     K = build_field(DEDEKIND)
     assert full_report(K) is full_report(K)
+
+
+def test_capped_searches_run_once_and_share_the_memo(monkeypatch, capsys):
+    calls = []
+    search = invariants.max_i_valuation
+
+    @functools.wraps(search)
+    def counted(field, p, cap=None):
+        calls.append(p)
+        return search(field, p, cap=cap)
+
+    monkeypatch.setattr(invariants, "max_i_valuation", counted)
+    assert cli.main(["invariants", "[1,5,-6,-5,1]", "--cap", "9"]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == primes_upto(4)
+
+    # a cap only stops a search early: a memoised exact value is returned
+    # even where the same search under that cap would raise
+    f = IntPoly([1, 5, -6, -5, 1])
+    with pytest.raises(RefinementCapExceeded):
+        vp_iK(build_field(f), 2, cap=1)
+    K = build_field(f)
+    report = full_report(K)
+    assert vp_iK(K, 2, cap=1) == report.valuations[2][0] == 2

@@ -108,6 +108,9 @@ def test_is_irreducible_hard_cases():
     assert is_irreducible("x^4 + 1")  # reducible mod every prime
     assert is_irreducible("x^6 + x^3 + 1")
     assert not is_irreducible("x^6 - 1")
+    # squares without a rational root: reducible mod every prime too
+    for base, e in (("x^2 + 1", 2), ("x^2 + x + 1", 2), ("x^2 - 2", 2), ("x^2 + 1", 3)):
+        assert not is_irreducible(parse_poly(base) ** e)
 
 
 def test_dedekind_criterion_examples():

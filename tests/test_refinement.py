@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from indexlab import refinement
+from indexlab.arith import vp_factorial
 from indexlab.families import family_polynomial
 from indexlab.intpoly import IntPoly
 from indexlab.invariants import full_report
@@ -139,3 +140,19 @@ def test_degree5_with_two_split_completely():
     r = full_report(K)
     assert r.valuations[2] == (3, 5)
     assert (r.i_K, r.I_K) == (8, 32)
+
+
+def test_caps_at_the_stopping_levels_never_bind():
+    # the i search stops by level v_p(n!) and the index search by the
+    # generator's level v_p([A : Z[theta]]): a cap there changes nothing
+    for poly, primes in CORPUS:
+        K = build_field(poly)
+        for p in primes:
+            i_cap = vp_factorial(K.degree, p)
+            I_cap = K.index_valuations.get(p, 0)
+            assert refinement.max_i_valuation(K, p, cap=i_cap) == (
+                refinement.max_i_valuation(K, p)
+            )
+            assert refinement.min_index_valuation(K, p, cap=I_cap) == (
+                refinement.min_index_valuation(K, p)
+            )
