@@ -245,15 +245,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact index invariants i(K) and I(K) of number fields of degree <= 7.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(
+        "--cap",
+        type=int,
+        metavar="N",
+        help="stop a refinement search that would pass level N (exit 1)",
+    )
 
-    p_inv = sub.add_parser("invariants", help="full invariant report for one field")
+    p_inv = sub.add_parser("invariants", parents=[cap], help="full invariant report for one field")
     p_inv.add_argument("poly")
     p_inv.add_argument("--format", choices=("json", "tsv"), default="json")
     p_inv.add_argument("--primes", default="", help="comma list, e.g. 2,3,5")
-    p_inv.add_argument("--cap", type=int, default=None, help="refinement level cap override")
     p_inv.set_defaults(func=cmd_invariants)
 
-    p_ver = sub.add_parser("verify", help="sweep a family formula against the engine")
+    p_ver = sub.add_parser(
+        "verify", parents=[cap], help="sweep a family formula against the engine"
+    )
     p_ver.add_argument("family")
     p_ver.add_argument(
         "--range",
@@ -263,23 +271,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--format", choices=("json", "tsv"), default="tsv")
     p_ver.add_argument("--out", default=None, help="write the report to this file")
-    p_ver.add_argument("--cap", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify)
 
-    p_t1 = sub.add_parser("search-t1", help="find a degree-n field with p | i(K)")
+    p_t1 = sub.add_parser("search-t1", parents=[cap], help="find a degree-n field with p | i(K)")
     p_t1.add_argument("--degree", type=int, required=True)
     p_t1.add_argument("--prime", type=int, required=True)
     p_t1.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_t1.add_argument("--format", choices=("json", "tsv"), default="json")
-    p_t1.add_argument("--cap", type=int, default=None)
     p_t1.set_defaults(func=cmd_search_t1)
 
-    p_cmp = sub.add_parser("compare", help="splitting-type comparator for two fields")
+    p_cmp = sub.add_parser(
+        "compare", parents=[cap], help="splitting-type comparator for two fields"
+    )
     p_cmp.add_argument("poly1")
     p_cmp.add_argument("poly2")
     p_cmp.add_argument("--prime", type=int, required=True)
     p_cmp.add_argument("--format", choices=("json", "tsv"), default="json")
-    p_cmp.add_argument("--cap", type=int, default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser

@@ -5,14 +5,17 @@ against the exact engine.
 Every predictor is a pure function of the parameter: it returns the
 predicted pair (I, i) together with applicability; the verifier builds the
 actual field, runs the exact invariant computation, and records one row per
-parameter.  A nonempty discrepancy list means the sweep failed.  Reports
-serialize to TSV (columns: family, m, applicable, I_pred, I_exact,
-i_pred_set, i_exact, pass) and JSON; rows are sorted by parameter so output
-is reproducible byte for byte.
+parameter.  A parameter whose search a level cap stops gets no verdict:
+its row keeps applicable = True, has pass = None and the cap message as its
+reason, and counts as a discrepancy.  A nonempty discrepancy list means the
+sweep failed.  Reports serialize to TSV (columns: family, m, applicable,
+I_pred, I_exact, i_pred_set, i_exact, pass) and JSON; rows are sorted by
+parameter so output is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,6 +25,7 @@ from .errors import (
     NotApplicable,
     NotReduced,
     ReduciblePolynomial,
+    RefinementCapExceeded,
     UnknownFamily,
 )
 from .intpoly import IntPoly
@@ -314,7 +318,12 @@ def verify_one(family: str, m: int, cap: int | None = None) -> dict:
         row["applicable"] = False
         row["reason"] = "reducible defining polynomial"
         return row
-    report = full_report(field, cap)
+    try:
+        report = full_report(field, cap)
+    except RefinementCapExceeded as exc:
+        # still applicable with no verdict, so it counts as a discrepancy
+        row["reason"] = str(exc)
+        return row
     row["I_exact"] = report.I_K
     row["i_exact"] = report.i_K
     row["pass"] = (pred.I_pred is None or pred.I_pred == report.I_K) and (
@@ -326,10 +335,6 @@ def verify_one(family: str, m: int, cap: int | None = None) -> dict:
         row["alpha_measured"] = valuation(report.i_K, 2)
         row["beta_measured"] = valuation(report.i_K, 3)
     return row
-
-
-def _verify_star(args):
-    return verify_one(*args)
 
 
 @dataclass
@@ -406,8 +411,9 @@ def verify_family(family: str, params, jobs: int = 1, cap: int | None = None) ->
     _family(family)  # an unknown name fails before any work
     ms = sorted(set(int(m) for m in params))
     if jobs > 1 and len(ms) > 1:
+        args = (itertools.repeat(family), ms, itertools.repeat(cap))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_verify_star, [(family, m, cap) for m in ms], chunksize=4))
+            rows = list(pool.map(verify_one, *args, chunksize=4))
     else:
         rows = [verify_one(family, m, cap) for m in ms]
     rows.sort(key=lambda r: r["m"])

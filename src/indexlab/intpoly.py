@@ -2,8 +2,9 @@
 
 A polynomial c0 + c1*x + ... + cn*x^n is stored as the ascending coefficient
 tuple (c0, c1, ..., cn) with no trailing zeros; the zero polynomial has an
-empty tuple.  Resultants use the subresultant pseudo-remainder sequence, so
-all arithmetic stays in the integers.
+empty tuple.  Resultants are Sylvester determinants evaluated fraction-free
+(Bareiss elimination in `intmatrix.det_rows`), so all arithmetic stays in
+the integers.
 
 Text input accepted everywhere in the package comes in two shapes: an
 ascending coefficient list such as "[4, -13, 0, 1]" and a symbolic form such
@@ -15,6 +16,7 @@ from __future__ import annotations
 import re
 
 from .errors import InvalidDegree, InvalidInput, ParseError
+from .intmatrix import det_rows
 
 
 class IntPoly:
@@ -235,68 +237,24 @@ def as_poly(f) -> IntPoly:
 # -- resultant and discriminant -------------------------------------------
 
 
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo remainder: lc(b)^(deg a - deg b + 1) * a mod b."""
-    da, db = a.degree, b.degree
-    lc = b.lc
-    rem = list(a.coeffs)
-    steps = 0
-    for k in range(da, db - 1, -1):
-        head = rem[k]
-        rem = [c * lc for c in rem]
-        if head:
-            for j, c in enumerate(b.coeffs):
-                rem[k - db + j] -= head * c
-        rem[k] = 0
-        steps += 1
-    scale = lc ** (da - db + 1 - steps)
-    return IntPoly([c * scale for c in rem])
-
-
 def poly_resultant(f: IntPoly, g: IntPoly) -> int:
     """Resultant with res(f, g) = lc(f)^deg(g) * prod g(alpha_i) over the
     roots alpha_i of f.
 
-    Computed by the subresultant pseudo-remainder sequence; no rational
-    arithmetic.  Raises InvalidInput on a zero polynomial.
+    Computed as the determinant of the Sylvester matrix, fraction-free
+    (Bareiss); no rational arithmetic.  Raises InvalidInput on a zero
+    polynomial.
     """
     f, g = as_poly(f), as_poly(g)
     if f.is_zero or g.is_zero:
         raise InvalidInput("resultant of the zero polynomial is undefined")
-    if f.degree == 0:
-        return f.lc**g.degree
-    if g.degree == 0:
-        return g.lc**f.degree
-    sign = 1
-    a, b = f, g
-    if a.degree < b.degree:
-        if (a.degree & 1) and (b.degree & 1):
-            sign = -sign
-        a, b = b, a
-    gg, hh = 1, 1
-    while True:
-        da, db = a.degree, b.degree
-        if (da & 1) and (db & 1):
-            sign = -sign
-        d = da - db
-        r = _pseudo_rem(a, b)
-        if r.is_zero:
-            return 0
-        a = b
-        denom = gg * hh**d
-        b = IntPoly([c // denom for c in r.coeffs])
-        assert all(c % denom == 0 for c in r.coeffs), "subresultant division not exact"
-        gg = a.lc
-        if d > 0:
-            num = gg**d
-            den = hh ** (d - 1)
-            assert num % den == 0
-            hh = num // den
-        if b.degree == 0:
-            num = b.lc ** a.degree
-            den = hh ** (a.degree - 1)
-            assert num % den == 0
-            return sign * (num // den)
+    m, n = f.degree, g.degree
+    if m == 0 or n == 0:
+        return f.lc**n * g.lc**m
+    a, b = list(reversed(f.coeffs)), list(reversed(g.coeffs))
+    rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
+    return det_rows(rows)
 
 
 def poly_discriminant(f: IntPoly) -> int:

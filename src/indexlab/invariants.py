@@ -19,6 +19,7 @@ cross-checked.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,15 +67,6 @@ def maccluer_support(field: NumberField) -> frozenset[int]:
     )
 
 
-def _small_vectors(n: int, box: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _small_vectors(n - 1, box):
-        for c in range(box):
-            yield (c,) + rest
-
-
 def good_element(field: NumberField, cap=None) -> AlgebraicInt:
     """A primitive t whose value-gcd i(t) attains the field invariant i(K).
 
@@ -97,19 +89,12 @@ def good_element(field: NumberField, cap=None) -> AlgebraicInt:
     coords = [0] * n
     for p, (level, wcoords) in witnesses:
         q = p**level
-        if modulus == 1:
-            modulus = q
-            coords = list(wcoords)
-            continue
         inv_m = pow(modulus, -1, q)
-        new = []
-        for c_old, c_new in zip(coords, wcoords):
-            t = ((c_new - c_old) * inv_m) % q
-            new.append(c_old + modulus * t)
-        coords = new
+        coords = [c + modulus * ((w - c) * inv_m % q) for c, w in zip(coords, wcoords)]
         modulus *= q
     for box in (1, 2, 3, 5):
-        for bump in _small_vectors(n, box):
+        # coordinate 0 varies fastest
+        for bump in map(reversed, itertools.product(range(box), repeat=n)):
             cand = field.element(
                 [c + modulus * b for c, b in zip(coords, bump)]
             )

@@ -95,18 +95,6 @@ def _left_nullspace_mod_p(rows, p):
     return basis
 
 
-def _matpow_mod_p(m, e, p):
-    n = len(m)
-    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = [row[:] for row in m]
-    while e:
-        if e & 1:
-            out = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*base)] for row in out]
-        base = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*base)] for row in base]
-        e >>= 1
-    return out
-
-
 def _unit(n, i):
     v = [0] * n
     v[i] = 1
@@ -302,48 +290,51 @@ def _alg_mul_mod_p(u, v, table, p):
     return [x % p for x in _mul(u, v, table)]
 
 
-def _frobenius_matrix(table, p, n):
-    """Matrix (rows) of x -> x^p on the algebra with this times table."""
+def _power_matrix(table, e, p, n):
+    """Matrix (rows) of x -> x^e on the algebra with this times table mod p.
+
+    It is F_p-linear when e is a power of p."""
     rows = []
     for i in range(n):
         acc = _unit(n, 0)
         base = _unit(n, i)
-        e = p
-        while e:
-            if e & 1:
+        k = e
+        while k:
+            if k & 1:
                 acc = _alg_mul_mod_p(acc, base, table, p)
             base = _alg_mul_mod_p(base, base, table, p)
-            e >>= 1
+            k >>= 1
         rows.append(acc)
     return rows
 
 
-def _stable_frobenius(phi, p, n):
-    """Matrix of x -> x^(p^k), the least k with p^k >= n, from Frobenius phi.
+def _stable_exponent(p, n):
+    """The least q = p^k (k >= 1) with q >= n.
 
-    Its kernel is the nilradical and its image the product of the
-    coefficient fields (see `_split_via_algebra`)."""
-    k = 1
+    x -> x^q has the nilradical as kernel and the product of the coefficient
+    fields as image (see `_split_via_algebra`)."""
     q = p
     while q < n:
         q *= p
-        k += 1
-    return _matpow_mod_p(phi, k, p)
+    return q
 
 
 def _radical_mod_p(table, p, n):
     """Basis of the nilradical of the algebra with this times table mod p."""
-    phi = _frobenius_matrix(table, p, n)
-    return _left_nullspace_mod_p(_stable_frobenius(phi, p, n), p)
+    return _left_nullspace_mod_p(_power_matrix(table, _stable_exponent(p, n), p, n), p)
+
+
+def _lattice_mod_p(vectors, p, n):
+    """HNF basis of the lattice p*Z^n + span(vectors)."""
+    rows = [[p if i == j else 0 for j in range(n)] for i in range(n)]
+    rows.extend([x % p for x in v] for v in vectors)
+    return hnf_basis(rows)
 
 
 def _radical_rows(order, p):
     """HNF basis of the radical of p*O inside O (Frobenius kernel pullback)."""
     n = order.n
-    kernel = _radical_mod_p(_mod_table(order.table, p), p, n)
-    rows = [[p if i == j else 0 for j in range(n)] for i in range(n)]
-    rows.extend([x % p for x in v] for v in kernel)
-    basis = hnf_basis(rows)
+    basis = _lattice_mod_p(_radical_mod_p(_mod_table(order.table, p), p, n), p, n)
     assert len(basis) == n
     return basis
 
@@ -365,21 +356,11 @@ def _enlarge_at_p(order, p):
     kernel = _left_nullspace_mod_p(big, p)
     if not kernel:
         return order, 0
-    rows = [[p if i == j else 0 for j in range(n)] for i in range(n)]
-    rows.extend([x % p for x in v] for v in kernel)
-    rel = hnf_basis(rows)
-    det_v = 1
-    for i in range(n):
-        det_v *= rel[i][i]
-    gain = n
-    while det_v > 1:
-        assert det_v % p == 0
-        det_v //= p
-        gain -= 1
-    if gain == 0:
-        return order, 0
-    new_w = mat_mul(rel, order.w)
-    return _Order(order.poly, new_w, order.den * p), gain
+    # the kernel rows are independent mod p, so the new order, (p*Z^n +
+    # span(kernel)) / p over the old basis, has index p^len(kernel) over
+    # the old one: a nonempty kernel always gains
+    rel = _lattice_mod_p(kernel, p, n)
+    return _Order(order.poly, mat_mul(rel, order.w), order.den * p), len(kernel)
 
 
 def _p_maximalize(order, p):
@@ -648,7 +629,7 @@ def index_of(field: NumberField, t: AlgebraicInt):
 
 def is_primitive(field: NumberField, t: AlgebraicInt) -> bool:
     """True iff t generates the field (its power-basis matrix is nonsingular)."""
-    return det_rows(field.powers_matrix(t)) != 0
+    return index_of(field, t) != INFINITY
 
 
 # -- prime splitting -----------------------------------------------------------
@@ -701,7 +682,7 @@ def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
         return _alg_mul_mod_p(u, v, table, p)
 
     one = _unit(n, 0)
-    phi = _frobenius_matrix(table, p, n)
+    phi = _power_matrix(table, p, p, n)
     fix = [[(phi[a][b] - (1 if a == b else 0)) % p for b in range(n)] for a in range(n)]
     idempotents = [one]
     for v in _left_nullspace_mod_p(fix, p):
@@ -718,7 +699,7 @@ def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
         products = (mul(e, part) for e in idempotents for part in parts)
         idempotents = [e for e in products if any(e)]
 
-    image = _stable_frobenius(phi, p, n)
+    image = _power_matrix(table, _stable_exponent(p, n), p, n)
     pairs = []
     for e in idempotents:
         f_deg = _rank_mod_p([mul(e, row) for row in image], p)

@@ -144,6 +144,15 @@ def test_cap_flag(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["invariants", "verify", "search-t1", "compare"])
+def test_every_subcommand_documents_cap(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--cap N stop a refinement search that would pass level N (exit 1)" in out
+
+
 USAGE_ERRORS = {
     "empty-range": ["verify", "quadratic", "--range", "5..2"],
     "non-integer-range": ["verify", "quadratic", "--range", "1,x"],

@@ -18,7 +18,10 @@ from indexlab.intpoly import IntPoly, parse_poly, poly_discriminant, poly_result
 
 
 def sylvester_resultant(f, g):
-    """Oracle: res(f, g) as a Sylvester determinant, evaluated fraction-free."""
+    """Oracle: res(f, g) as a Sylvester determinant, evaluated by sympy's
+    division-free Berkowitz method (production uses Bareiss in det_rows)."""
+    from sympy import Matrix
+
     m, n = f.degree, g.degree
     size = m + n
     rows = []
@@ -32,7 +35,7 @@ def sylvester_resultant(f, g):
         for k, c in enumerate(reversed(g.coeffs)):
             row[i + k] = c
         rows.append(row)
-    return det_rows(rows)
+    return int(Matrix(rows).det(method="berkowitz"))
 
 
 def cubic_disc(a2, a1, a0):
@@ -118,6 +121,11 @@ def test_resultant_examples():
     f = parse_poly("x^3 - x + 1")
     assert poly_resultant(f, f) == 0
     assert poly_resultant(parse_poly("x^2 + 1"), parse_poly("x - 1")) == 2
+    # deg f < deg g, both odd: res(g, f) = -res(f, g).  sympy 1.14's
+    # resultant returns 6 for the first pair, so it cannot stand in here
+    g = parse_poly("x^3 - 2*x^2 - 2*x - 2")
+    assert poly_resultant(parse_poly("x - 2"), g) == -6
+    assert poly_resultant(g, parse_poly("x - 2")) == 6
 
 
 def test_resultant_zero_poly_rejected():

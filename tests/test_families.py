@@ -194,6 +194,20 @@ def test_verify_family_parallel_matches_serial():
     assert serial.rows == parallel.rows
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_reports_a_capped_parameter_as_a_row(jobs):
+    # m = 1 finishes under cap 2; m = 8 needs level 4 at p = 2
+    rep = verify_family("simplest_sextic", [1, 8], jobs=jobs, cap=2)
+    ok, capped = rep.rows
+    assert (ok["m"], ok["pass"]) == (1, True)
+    assert capped["m"] == 8 and capped["applicable"] is True
+    assert capped["pass"] is None and capped["i_exact"] is None
+    assert capped["reason"] == (
+        "value-gcd refinement passed level 2 at p=2 (16 classes undecided)"
+    )
+    assert rep.discrepancies == [capped] and not rep.ok
+
+
 def test_verify_marks_reducible_parameters_inapplicable():
     row = verify_one("simplest_sextic", 5)
     assert row["applicable"] is False

@@ -1,5 +1,7 @@
 """Refinement searches: the symmetry t -> ut + c and the reduced class sets."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from indexlab.arith import vp_factorial
 from indexlab.families import family_polynomial
 from indexlab.intpoly import IntPoly
 from indexlab.invariants import full_report
-from indexlab.numberfield import build_field, split_prime
+from indexlab.numberfield import build_field, p_maximal_order, split_prime
 
 DEDEKIND = "x^3 - x^2 - 2*x - 8"
 
@@ -140,6 +142,15 @@ def test_degree5_with_two_split_completely():
     r = full_report(K)
     assert r.valuations[2] == (3, 5)
     assert (r.i_K, r.I_K) == (8, 32)
+
+
+def test_index_valuations_multiply_to_the_basis_index():
+    # x(x-1)...(x-5) + 4096 builds quickly; only its index search is out of reach
+    for poly in [poly for poly, _ in CORPUS] + [roots_plus(6, 4096)]:
+        K = build_field(poly)
+        assert math.prod(p**v for p, v in K.index_valuations.items()) == K.index
+        for p, v in K.index_valuations.items():
+            assert v == p_maximal_order(poly, p).vp_index
 
 
 def test_caps_at_the_stopping_levels_never_bind():
