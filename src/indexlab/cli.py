@@ -17,6 +17,7 @@ would pass level N (exit 1), and a result it lets through is exact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -239,6 +240,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use, then shared: parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="indexlab",

@@ -48,7 +48,14 @@ exact, for four reasons.
 max_i_valuation tracks w = v_p(gcd of the char poly's values at 0..n), whose
 max over classes is v_p of the lcm invariant.  Because that gcd always
 divides n!, any class still undecided at level v_p(n!) sits exactly at the
-bound, so the search never subdivides past that level.
+bound, so the search never subdivides past that level.  It stops at the
+first such class.  Every certified class at that level is worth less than
+the level, which is the bound, and every earlier value is smaller still.
+So one undecided class makes the maximum the bound, and the first class
+that attains it is the first undecided class in list order: the witness
+that evaluating the whole level would give.  The level is evaluated in list
+order, a prefix of _HEAD classes first and the rest in one more batch, so a
+level with no undecided class costs one extra batch call.
 
 min_index_valuation tracks w = v_p(det of the power-basis matrix).  The
 generator's class certifies at level v_p([A : Z[theta]]) + 1 at the latest,
@@ -66,23 +73,27 @@ exact one.  A cap never binds once it reaches the level where the search
 stops by itself:
 
 * The i search, at a cap >= v_p(n!), and v_p(n!) >= 1 for p <= n.  The
-  loop breaks at m >= v_p(n!) before its cap test, so that test only runs
+  loop returns at m = v_p(n!) before its cap test, so that test only runs
   with m < v_p(n!) <= cap, and the test before level 1 sees a cap >= 1.
 * The index search, at a cap >= best0, where best0 >= 1 is the generator's
   valuation (at best0 = 0 it returns before any cap test).  The loop
   breaks at best == 0 or m >= best before its cap test, and best <= best0,
   so that test only runs with m < best0 <= cap.
 
-Each level is evaluated as one vectorized batch (a data-parallel work pool
-with a max/min reduction at the level barrier); batches are chunked to bound
-memory.  Arithmetic runs in int64 with explicit reduction mod p^m, which is
-exact while p^m <= 2^25: a sum of seven products of two residues then stays
-below 2^53.  For n <= 7 the modulus never gets that large.  The i search stops
-by level v_p(n!) <= 4.  The index search stops by level v_p(I(K)) + 1, and
-v_p(I(K)) <= 12 for n <= 7 (Engstrom, Trans. AMS 32, 1930): the worst case
-is 2 splitting completely in degree 7, where at least 9 pairs of the seven
-2-adic components of any integer agree mod 2 and 3 more pairs agree mod 4.
-So p^m <= 2^13.
+Each level is evaluated as vectorized batches of at most _CHUNK classes
+(chunked to bound memory), with a max/min reduction at the level barrier.
+A batch is laid out batch last: np.tensordot(table, classes) gives the
+(n, n, B) multiplication matrices directly, the index search builds its
+(n, n, B) power-basis matrices from them, and one Berkowitz kernel works on
+whole contiguous (B,) rows of either.  Arithmetic runs in int64 with
+explicit reduction mod p^m, which is exact while p^m <= 2^25: a sum of
+seven products of two residues then stays below 2^53.  For n <= 7 the
+modulus never gets that large.  The i search stops by level v_p(n!) <= 4.
+The index search stops by level v_p(I(K)) + 1, and v_p(I(K)) <= 12 for
+n <= 7 (Engstrom, Trans. AMS 32, 1930): the worst case is 2 splitting
+completely in degree 7, where at least 9 pairs of the seven 2-adic
+components of any integer agree mod 2 and 3 more pairs agree mod 4.  So
+p^m <= 2^13.
 """
 
 from __future__ import annotations
@@ -95,6 +106,7 @@ from .numberfield import _mod_table
 
 _INT64_SAFE_MOD = 1 << 25
 _CHUNK = 1 << 16
+_HEAD = 1 << 10  # classes tried first at the factorial bound
 
 
 def _np_table(field, mod: int):
@@ -138,39 +150,46 @@ def _children(survivors, p: int, m: int):
 
 
 def _charpoly_batch(mats, mod: int):
-    """Berkowitz char polys (descending coeffs) of a (B,n,n) batch mod `mod`."""
-    b, n, _ = mats.shape
-    poly = np.zeros((b, 2), dtype=np.int64)
-    poly[:, 0] = 1
-    poly[:, 1] = (-mats[:, 0, 0]) % mod
+    """Berkowitz char polys of an (n, n, B) batch mod `mod`, batch last.
+
+    Row k of the (n + 1, B) result holds coefficient k, descending, of every
+    matrix.  The entries must be residues in [0, mod); every step is a
+    product of whole (B,) rows, and no sum holds more than n products of
+    two residues before it is reduced.
+    """
+    n = mats.shape[0]
+    poly = np.stack((np.ones_like(mats[0, 0]), -mats[0, 0] % mod))
     for i in range(1, n):
-        row = mats[:, i, :i]
-        col = mats[:, :i, i]
-        sub = mats[:, :i, :i]
-        q = np.zeros((b, i + 2), dtype=np.int64)
-        q[:, 0] = 1
-        q[:, 1] = (-mats[:, i, i]) % mod
-        v = col % mod
+        row = mats[i, :i]
+        q = np.empty((i + 2,) + row.shape[1:], dtype=np.int64)
+        q[0] = 1
+        q[1] = -mats[i, i] % mod
+        v = mats[:i, i]  # S^j C, S the leading i x i block and C column i
         for j in range(i):
-            q[:, 2 + j] = (-np.einsum("bi,bi->b", row, v)) % mod
+            q[2 + j] = -(row * v).sum(axis=0) % mod
             if j < i - 1:
-                v = np.einsum("bij,bj->bi", sub, v) % mod
-        out = np.zeros((b, i + 2), dtype=np.int64)
+                v = sum(mats[:i, k] * v[k] for k in range(i)) % mod
+        out = np.zeros_like(q)
         for c in range(i + 1):
-            out[:, c:] = (out[:, c:] + poly[:, c : c + 1] * q[:, : i + 2 - c]) % mod
-        poly = out
+            out[c:] += poly[c] * q[: i + 2 - c]
+        poly = out % mod
     return poly
 
 
-def _min_vp_rows(values, p: int, m: int):
-    """Per-row min p-valuation of residues in [0, p^m); m stands for 'all zero'."""
-    v = np.full(values.shape, m, dtype=np.int64)
+def _min_vp(values, p: int, m: int):
+    """Per-column min p-valuation of residues in [0, p^m); m stands for 'all zero'."""
+    v = np.full(values.shape[1:], m, dtype=np.int64)
     acc = values.copy()
     for k in range(m):
-        fresh = (acc % p != 0) & (v == m)
+        fresh = (acc % p != 0).any(axis=0) & (v == m)
         v[fresh] = k
         acc //= p
-    return v.min(axis=1)
+    return v
+
+
+def _mult_matrices(table, chunk, mod: int):
+    """The (n, n, B) matrices of multiplication by each class, batch last."""
+    return np.tensordot(table, chunk, axes=([0], [1])) % mod
 
 
 def _i_profile(field, p: int, m: int, classes):
@@ -180,15 +199,13 @@ def _i_profile(field, p: int, m: int, classes):
     assert mod <= _INT64_SAFE_MOD
     out = np.empty(len(classes), dtype=np.int64)
     table = _np_table(field, mod)
-    xs = np.arange(n + 1, dtype=np.int64)
+    # row x holds x^n, ..., x, 1: the values F(x) at x = 0..n of a char
+    # poly with residue coefficients stay below 8 * 7^7 * mod < 2^48
+    powers = np.vander(np.arange(n + 1, dtype=np.int64), n + 1)
     for lo in range(0, len(classes), _CHUNK):
         chunk = classes[lo : lo + _CHUNK] % mod
-        mats = np.tensordot(chunk, table, axes=([1], [0])) % mod
-        cp = _charpoly_batch(mats, mod)
-        vals = np.zeros((len(chunk), n + 1), dtype=np.int64)
-        for k in range(n + 1):
-            vals = (vals * xs[None, :] + cp[:, k : k + 1]) % mod
-        out[lo : lo + len(chunk)] = _min_vp_rows(vals, p, m)
+        cp = _charpoly_batch(_mult_matrices(table, chunk, mod), mod)
+        out[lo : lo + len(chunk)] = _min_vp(powers @ cp % mod, p, m)
     return out
 
 
@@ -201,19 +218,15 @@ def _index_profile(field, p: int, m: int, classes):
     table = _np_table(field, mod)
     for lo in range(0, len(classes), _CHUNK):
         chunk = classes[lo : lo + _CHUNK] % mod
-        b = len(chunk)
-        pw = np.zeros((b, n, n), dtype=np.int64)
-        pw[:, 0, 0] = 1
+        mult = _mult_matrices(table, chunk, mod)
+        pw = np.zeros_like(mult)  # row k holds the coordinates of t^k
+        pw[0, 0] = 1
         if n > 1:
-            cur = chunk.copy()
-            pw[:, 1, :] = cur
+            pw[1] = chunk.T
             for k in range(2, n):
-                mid = np.einsum("bi,ijk->bjk", cur, table) % mod
-                cur = np.einsum("bjk,bj->bk", mid, chunk) % mod
-                pw[:, k, :] = cur
-        cp = _charpoly_batch(pw, mod)
-        dets = cp[:, n][:, None]  # +- det; sign is irrelevant to the valuation
-        out[lo : lo + b] = _min_vp_rows(dets, p, m)
+                pw[k] = (pw[k - 1][:, None] * mult).sum(axis=0) % mod
+        dets = _charpoly_batch(pw, mod)[n:]  # +- det; the sign is irrelevant
+        out[lo : lo + len(chunk)] = _min_vp(dets, p, m)
     return out
 
 
@@ -249,8 +262,19 @@ def max_i_valuation(field, p: int, cap: int | None = None):
     if cap is not None and cap < 1:
         raise _cap_exceeded("value-gcd", cap, p, len(classes))
     m = 1
-    while len(classes):
-        profile = _i_profile(field, p, m, classes)
+    while True:
+        if m < bound:
+            profile = _i_profile(field, p, m, classes)
+        else:
+            # an undecided class is worth exactly the bound, more than any
+            # certified one: the first is the witness, so try a prefix first
+            profile = _i_profile(field, p, m, classes[:_HEAD])
+            if (profile < m).all():
+                rest = _i_profile(field, p, m, classes[_HEAD:])
+                profile = np.concatenate((profile, rest))
+            undecided = np.flatnonzero(profile >= m)
+            if len(undecided):
+                return bound, (m, tuple(int(x) for x in classes[undecided[0]]))
         certified = profile < m
         if certified.any():
             w = int(profile[certified].max())
@@ -260,18 +284,11 @@ def max_i_valuation(field, p: int, cap: int | None = None):
                 witness = (m, tuple(int(x) for x in classes[idx]))
         survivors = classes[~certified]
         if not len(survivors):
-            break
-        if m >= bound:
-            # undecided at the factorial bound means exactly the bound
-            if bound > best:
-                best = bound
-                witness = (m, tuple(int(x) for x in survivors[0]))
-            break
+            return best, witness
         if cap is not None and m >= cap:
             raise _cap_exceeded("value-gcd", cap, p, len(survivors))
         classes = _children(survivors, p, m)
         m += 1
-    return best, witness
 
 
 def min_index_valuation(field, p: int, cap: int | None = None) -> int:

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,9 @@ from indexlab.numberfield import (
     build_field,
     char_poly,
     index_of,
+    is_irreducible,
     is_primitive,
+    split_prime,
 )
 
 DEDEKIND = "x^3 - x^2 - 2*x - 8"
@@ -203,3 +206,53 @@ def test_capped_searches_run_once_and_share_the_memo(monkeypatch, capsys):
     K = build_field(f)
     report = full_report(K)
     assert vp_iK(K, 2, cap=1) == report.valuations[2][0] == 2
+
+
+def mobius(d):
+    out, q = 1, 2
+    while d > 1:
+        if d % q == 0:
+            d //= q
+            if d % q == 0:
+                return 0
+            out = -out
+        q += 1
+    return out
+
+
+def monic_irreducible_count(f, p):
+    """Monic irreducible polynomials of degree f over F_p (Gauss)."""
+    return sum(mobius(d) * p ** (f // d) for d in range(1, f + 1) if f % d == 0) // f
+
+
+def hensel_divides_I(splitting, p):
+    """Hensel's criterion (1894): p | I(K) exactly when, for some f, more
+    primes above p have residue degree f than there are monic irreducibles
+    of degree f over F_p."""
+    counts = Counter(f for _, f in splitting)
+    return any(k > monic_irreducible_count(f, p) for f, k in counts.items())
+
+
+def test_hensel_criterion_decides_common_index_divisors():
+    # the I(K) twin of the splitting-based support check for i(K): the
+    # splitting type alone decides whether p divides I(K)
+    assert [monic_irreducible_count(f, 2) for f in range(1, 6)] == [2, 1, 2, 3, 6]
+    rng = random.Random(8)
+    polys = []
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        polys.append(IntPoly([rng.randint(-30, 30) for _ in range(n)] + [1]))
+    for k in range(3, 6):  # x(x - 1)...(x - k + 1) + c p^j
+        falling = math.prod((IntPoly([-r, 1]) for r in range(k)), start=IntPoly([1]))
+        for p in (2, 3, 5):
+            for j in range(1, 5):
+                for c in (1, 3):
+                    polys.append(falling + IntPoly([c * p**j]))
+    divides = []
+    for f in filter(is_irreducible, polys):
+        K = build_field(f)
+        for p in primes_upto(K.degree):
+            I_divisible = vp_IK(K, p) > 0
+            assert hensel_divides_I(split_prime(K, p), p) == I_divisible, (f, p)
+            divides.append(I_divisible)
+    assert len(divides) > 300 and sum(divides) >= 20

@@ -1,6 +1,8 @@
-"""Refinement searches: the symmetry t -> ut + c and the reduced class sets."""
+"""Refinement searches: the symmetry t -> ut + c, the reduced class sets,
+the int64 Berkowitz kernel and the stop at the factorial bound."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +12,13 @@ from indexlab.arith import vp_factorial
 from indexlab.families import family_polynomial
 from indexlab.intpoly import IntPoly
 from indexlab.invariants import full_report
-from indexlab.numberfield import build_field, p_maximal_order, split_prime
+from indexlab.numberfield import (
+    _charpoly_rows,
+    build_field,
+    char_poly,
+    p_maximal_order,
+    split_prime,
+)
 
 DEDEKIND = "x^3 - x^2 - 2*x - 8"
 
@@ -167,3 +175,99 @@ def test_caps_at_the_stopping_levels_never_bind():
             assert refinement.min_index_valuation(K, p, cap=I_cap) == (
                 refinement.min_index_valuation(K, p)
             )
+
+
+# one field per degree 2..7
+KERNEL_FIELDS = [
+    "x^2 - 17",
+    DEDEKIND,
+    family_polynomial("simplest_quartic", 5),
+    family_polynomial("lehmer_quintic", 2),
+    IntPoly([-5, 1, 12, 28, 18, 7, 1]),
+    IntPoly([-7, 713, 1757, 1624, 735, 175, 21, 1]),
+]
+# p^m from p = 2 up to 2^13, the top of the window the module docstring
+# argues for, and the int64 assertion's own limit
+KERNEL_MODULI = [
+    2, 3, 4, 5, 7, 9, 25, 49, 2401, 3125, 6561, 1 << 13, refinement._INT64_SAFE_MOD
+]
+
+
+def kernel_layout(mats, mod):
+    """Integer matrices, reduced mod `mod`, in the kernel's (n, n, B) layout."""
+    rows = [[[c % mod for c in row] for row in mat] for mat in mats]
+    return np.moveaxis(np.array(rows, dtype=np.int64), 0, -1)
+
+
+@pytest.mark.parametrize(
+    "poly", KERNEL_FIELDS, ids=[f"degree-{n}" for n in range(2, 8)]
+)
+def test_charpoly_kernel_matches_exact_char_poly(poly):
+    K = build_field(poly)
+    n = K.degree
+    rng = random.Random(n)
+    elements = [
+        K.element([rng.randint(-(10**6), 10**6) for _ in range(n)]) for _ in range(12)
+    ]
+    mult = [K.mult_matrix(t) for t in elements]
+    # exact integer char polys (Faddeev-LeVerrier), descending coefficients
+    mult_cp = [list(reversed(char_poly(K, t).coeffs)) for t in elements]
+    powers = [K.powers_matrix(t) for t in elements]
+    powers_cp = [_charpoly_rows(rows) for rows in powers]
+    for mod in KERNEL_MODULI:
+        for mats, exact in ((mult, mult_cp), (powers, powers_cp)):
+            got = refinement._charpoly_batch(kernel_layout(mats, mod), mod)
+            assert got.shape == (n + 1, len(mats))
+            assert got.T.tolist() == [[c % mod for c in cp] for cp in exact]
+
+
+def i_search_whole_bound_level(K, p):
+    """max_i_valuation with the factorial bound's level evaluated in full,
+    and (level, classes, undecided classes) at the last level reached."""
+    n = K.degree
+    bound = vp_factorial(n, p)
+    best, witness = 0, None
+    classes = refinement._all_classes(p, n)
+    for m in range(1, bound + 1):
+        profile = refinement._i_profile(K, p, m, classes)
+        certified = profile < m
+        if certified.any():
+            w = int(profile[certified].max())
+            if w > best:
+                best = w
+                idx = int(np.flatnonzero(certified & (profile == w))[0])
+                witness = (m, tuple(int(x) for x in classes[idx]))
+        survivors = classes[~certified]
+        if m == bound or not len(survivors):
+            break
+        classes = refinement._children(survivors, p, m)
+    if m == bound and len(survivors):
+        # undecided at the factorial bound means exactly the bound
+        best, witness = bound, (m, tuple(int(x) for x in survivors[0]))
+    return (best, witness), (m, len(classes), len(survivors))
+
+
+# polynomial, p, and the bound level: (level, classes, some undecided)
+BOUND_CASES = {
+    "search-t1-7-7": (KERNEL_FIELDS[5], 7, (1, 19608, True)),
+    "search-t1-6-5": (KERNEL_FIELDS[4], 5, (1, 781, True)),
+    "lehmer2-5": (family_polynomial("lehmer_quintic", 2), 5, (1, 156, True)),
+    "split-quartic-2": (roots_plus(4, 16), 2, (3, 48, True)),
+    "split-quintic-2": (roots_plus(5, 4096), 2, (3, 640, True)),
+    "x7-3x+1-7": (IntPoly([1, -3, 0, 0, 0, 0, 0, 1]), 7, (1, 19608, False)),
+    "sextic8-2": (family_polynomial("simplest_sextic", 8), 2, (4, 4096, False)),
+}
+
+
+@pytest.mark.parametrize("head", [None, 1], ids=["default-prefix", "prefix-1"])
+@pytest.mark.parametrize(
+    "poly, p, level", list(BOUND_CASES.values()), ids=list(BOUND_CASES)
+)
+def test_bound_level_stop_keeps_value_and_witness(poly, p, level, head, monkeypatch):
+    K = build_field(poly)
+    expected, (m, size, undecided) = i_search_whole_bound_level(K, p)
+    assert (m, size, undecided > 0) == level
+    if head is not None:
+        # a one-class prefix: the rest of the level is one more batch
+        monkeypatch.setattr(refinement, "_HEAD", head)
+    assert refinement.max_i_valuation(K, p) == expected
