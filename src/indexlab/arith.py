@@ -2,8 +2,8 @@
 
 All functions are exact.  Python's built-in int is the arbitrary-precision
 integer type used throughout the package; nothing here ever rounds.
-Integer factorization and primality for large inputs are delegated to
-sympy (imported lazily so that the common small-prime paths stay cheap).
+Integer factorization, and primality beyond a small sieve, are delegated to
+sympy (imported lazily so that the small-prime paths stay cheap).
 """
 
 from __future__ import annotations
@@ -97,27 +97,14 @@ def gcd_all(xs) -> int:
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; |n| must be >= 1."""
+    """Prime factorization of |n| as {prime: exponent}, primes ascending;
+    |n| must be >= 1."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
-    if n == 1:
-        return {}
-    out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return out
-    if n < _SMALL_PRIME_BOUND and is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return out
     from sympy import factorint as sym_factorint
 
-    for p, e in sym_factorint(n).items():
-        out[int(p)] = out.get(int(p), 0) + int(e)
-    return out
+    return {int(p): int(e) for p, e in sorted(sym_factorint(n).items())}
 
 
 def square_divisor_primes(n: int) -> list[int]:

@@ -155,8 +155,11 @@ def cmd_verify(args) -> int:
     else:
         text = report.to_tsv()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"--out: cannot write {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     alpha = report.alpha_table()

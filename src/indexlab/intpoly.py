@@ -8,15 +8,20 @@ the integers.
 
 Text input accepted everywhere in the package comes in two shapes: an
 ascending coefficient list such as "[4, -13, 0, 1]" and a symbolic form such
-as "x^3 - 13*x + 4" (x**3 and implicit '*' also accepted).
+as "x^3 - 13*x + 4" (x**3 and implicit '*' also accepted).  Symbolic text of
+degree above MAX_DEGREE, the package's scope, is refused with
+DegreeOutOfScope before its coefficient list is built, so a huge exponent
+costs no memory.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import InvalidDegree, InvalidInput, ParseError
+from .errors import DegreeOutOfScope, InvalidDegree, InvalidInput, ParseError
 from .intmatrix import det_rows
+
+MAX_DEGREE = 7
 
 
 class IntPoly:
@@ -219,10 +224,10 @@ def parse_poly(text: str) -> IntPoly:
         else:
             k = int(m.group("exp"))
         coeffs[k] = coeffs.get(k, 0) + sign * c
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return IntPoly(out)
+    degree = max((k for k, c in coeffs.items() if c), default=0)
+    if degree > MAX_DEGREE:
+        raise DegreeOutOfScope(f"degree {degree} > {MAX_DEGREE}")
+    return IntPoly([coeffs.get(k, 0) for k in range(degree + 1)])
 
 
 def as_poly(f) -> IntPoly:

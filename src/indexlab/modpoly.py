@@ -319,20 +319,6 @@ def factor_mod_p(f, p: int) -> FactorizationModP:
     return FactorizationModP(p=p, unit=unit, factors=factors)
 
 
-def is_squarefree_mod_p(f, p: int) -> bool:
-    """True iff gcd(f, f') is constant over F_p."""
-    check_prime(p)
-    fp = f if isinstance(f, ModPoly) else ModPoly.from_intpoly(as_poly(f), p)
-    if fp.is_zero:
-        raise ZeroModP(f"polynomial is 0 mod {p}")
-    if fp.degree == 0:
-        return True
-    d = fp.derivative()
-    if d.is_zero:
-        return False
-    return gcd_mod(fp, d).degree == 0
-
-
 def _moebius(n: int) -> int:
     from .arith import factorint
 

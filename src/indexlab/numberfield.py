@@ -40,10 +40,8 @@ from .intmatrix import (
     solve_lower_triangular,
     solve_upper_triangular,
 )
-from .intpoly import IntPoly, as_poly, poly_discriminant
-from .modpoly import ModPoly, factor_mod_p, gcd_mod, is_squarefree_mod_p
-
-MAX_DEGREE = 7
+from .intpoly import MAX_DEGREE, IntPoly, as_poly, poly_discriminant
+from .modpoly import ModPoly, factor_mod_p, gcd_mod
 
 
 # -- linear algebra over F_p (tiny dimensions) ------------------------------
@@ -124,21 +122,11 @@ def _charpoly_rows(m):
 # -- irreducibility over Q ---------------------------------------------------
 
 
-def _subset_degree_sums(degs, n):
-    bits = 1
-    for d in degs:
-        bits |= bits << d
-    return {k for k in range(1, n) if (bits >> k) & 1}
-
-
 def is_irreducible(f) -> bool:
     """Exact irreducibility over Q for monic integer polynomials.
 
-    Rational-root test, then modular degree-pattern certificates; the rare
-    inconclusive cases fall back to sympy's exact factorization.  A repeated
-    factor needs no test of its own: for n <= 3 it is linear, so the
-    rational-root test finds it; for n >= 4, f is squarefree mod no prime,
-    so the degree-pattern loop skips every prime and sympy decides.
+    Up to degree 3 a factor is linear, so the rational-root test decides;
+    from degree 4 sympy's exact factorization decides on its own.
     """
     f = as_poly(f)
     n = f.degree
@@ -148,28 +136,17 @@ def is_irreducible(f) -> bool:
         raise InvalidInput("irreducibility test expects a monic polynomial")
     if n == 1:
         return True
+    if n >= 4:
+        from sympy import Poly, symbols
+
+        return bool(Poly(list(reversed(f.coeffs)), symbols("x")).is_irreducible)
     c0 = f(0)
     if c0 == 0:
         return False
     for d in divisors(c0):
         if f(d) == 0 or f(-d) == 0:
             return False
-    if n <= 3:
-        return True
-    from .arith import primes_upto
-
-    candidates = set(range(1, n))
-    for p in primes_upto(200):
-        if not is_squarefree_mod_p(f, p):
-            continue
-        fac = factor_mod_p(f, p)
-        degs = [g.degree for g, e in fac.factors for _ in range(e)]
-        candidates &= _subset_degree_sums(degs, n)
-        if not candidates:
-            return True
-    from sympy import Poly, symbols
-
-    return bool(Poly(list(reversed(f.coeffs)), symbols("x")).is_irreducible)
+    return True
 
 
 def _check_defining_poly(f) -> IntPoly:

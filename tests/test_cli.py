@@ -57,6 +57,9 @@ def test_exit_codes(capsys):
     assert code == 3
     code, _, err = run_cli(capsys, ["invariants", "x^8 - 2"])
     assert code == 3
+    # refused from the exponent alone, before a coefficient list is built
+    code, _, err = run_cli(capsys, ["invariants", "x^99999999999 + 1"])
+    assert code == 3 and err == "invalid field: degree 99999999999 > 7\n"
     code, _, err = run_cli(capsys, ["verify", "octic", "--range", "0..3"])
     assert code == 2
     code, _, err = run_cli(capsys, ["compare", "x^2 - 2", "x^3 - 2", "--prime", "2"])
@@ -164,6 +167,7 @@ USAGE_ERRORS = {
     "cap-zero": ["verify", "quadratic", "--range", "1..3", "--cap", "0"],
     "primes-non-prime": ["invariants", "x^3 - 2", "--primes", "4,9"],
     "primes-non-integer": ["invariants", "x^3 - 2", "--primes", "2,a"],
+    "out-unwritable": ["verify", "quadratic", "--range", "1..3", "--out", "/nonexistent/d/f"],
 }
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from indexlab.arith import INFINITY, gcd_all, valuation, vp_factorial
+from indexlab.arith import INFINITY, factorint, gcd_all, is_prime, valuation, vp_factorial
 from indexlab.errors import (
     InvalidDegree,
     InvalidInput,
@@ -245,6 +245,20 @@ def test_hnf_rank_deficient():
         hnf(IntMatrix([[1, 2], [2, 4]]))
 
 
+def test_factorint_exact_with_ascending_int_keys():
+    rng = random.Random(61)
+    values = [1, -1, 2, -12, 2**64, 99901 * 99991, 2**10 * 3**5 * 10007**2]
+    values += [rng.choice((1, -1)) * rng.randrange(2, 10**12) for _ in range(50)]
+    for n in values:
+        fac = factorint(n)
+        assert list(fac) == sorted(fac)
+        assert all(type(p) is int and type(e) is int and e >= 1 for p, e in fac.items())
+        assert all(is_prime(p) for p in fac)
+        assert math.prod(p**e for p, e in fac.items()) == abs(n)
+    with pytest.raises(ValueError):
+        factorint(0)
+
+
 # -- parsing and formatting -------------------------------------------------------
 
 
@@ -260,6 +274,9 @@ def test_parse_symbolic():
     assert parse_poly("x") == IntPoly([0, 1])
     assert parse_poly("17") == IntPoly([17])
     assert parse_poly("2*x^2 + x^2") == IntPoly([0, 0, 3])
+    # the degree is the top exponent with a nonzero coefficient
+    assert parse_poly("x^99999999999 - x^99999999999 + x^2 - 2") == IntPoly([-2, 0, 1])
+    assert parse_poly("x^9 - x^9").is_zero
 
 
 def test_parse_errors():

@@ -10,7 +10,6 @@ from indexlab.modpoly import (
     ModPoly,
     count_monic_irreducibles,
     factor_mod_p,
-    is_squarefree_mod_p,
     monic_irreducibles,
 )
 
@@ -93,12 +92,6 @@ def test_factor_large_prime_path():
         assert sum(g.degree * e for g, e in fac.factors) == 4
         for g, _ in fac.factors:
             assert g.degree in (1, 2)  # x^4+1 never stays irreducible mod p
-
-
-def test_is_squarefree_examples():
-    assert is_squarefree_mod_p(parse_poly("x^2 - 17"), 2) is False
-    assert is_squarefree_mod_p(parse_poly("x^3 - x + 3"), 3) is True
-    assert is_squarefree_mod_p(parse_poly("x^2 + x + 1"), 2) is True
 
 
 def test_count_monic_irreducibles_examples():

@@ -111,6 +111,33 @@ def test_is_irreducible_hard_cases():
     # squares without a rational root: reducible mod every prime too
     for base, e in (("x^2 + 1", 2), ("x^2 + x + 1", 2), ("x^2 - 2", 2), ("x^2 + 1", 3)):
         assert not is_irreducible(parse_poly(base) ** e)
+    # products of distinct irreducibles with no rational root
+    for factors in (
+        ("x^2 + 1", "x^3 - 2"),
+        ("x^2 + x + 1", "x^4 + 1"),
+        ("x^3 - 2", "x^4 + 1"),
+        ("x^2 + 1", "x^2 + 2", "x^2 + 3"),
+        ("x^2 - x + 1", "x^5 - x - 1"),
+    ):
+        product = IntPoly([1])
+        for g in factors:
+            assert is_irreducible(g)
+            product = product * parse_poly(g)
+        assert 5 <= product.degree <= 7
+        assert not is_irreducible(product)
+    # Eisenstein at 2 with 40-digit coefficients, and products of two of them
+    rng = random.Random(40)
+
+    def eisenstein(n):
+        # each lower coefficient is 2 times an odd number: Eisenstein at 2
+        return IntPoly([2 * rng.randrange(5 * 10**38 + 1, 5 * 10**39, 2) for _ in range(n)] + [1])
+
+    for n in range(4, 8):
+        f = eisenstein(n)
+        assert all(len(str(c)) == 40 for c in f.coeffs[:-1])
+        assert is_irreducible(f)
+    for a, b in ((2, 2), (2, 4), (3, 4)):
+        assert not is_irreducible(eisenstein(a) * eisenstein(b))
 
 
 def test_dedekind_criterion_examples():
