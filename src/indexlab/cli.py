@@ -148,6 +148,8 @@ def cmd_verify(args) -> int:
     if args.family not in FAMILY_NAMES:
         sys.stderr.write(f"unknown family {args.family!r}; known: {', '.join(FAMILY_NAMES)}\n")
         return USAGE_ERROR
+    if args.jobs < 1:
+        raise UsageError(f"--jobs: the worker count must be at least 1, got {args.jobs}")
     params = _parse_range(args.range)
     report = verify_family(args.family, params, jobs=args.jobs, cap=args.cap)
     if args.format == "json":

@@ -61,6 +61,9 @@ class IntPoly:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
+    def __iter__(self):
+        return iter(self.coeffs)
+
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 

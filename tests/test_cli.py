@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from indexlab import families
 from indexlab.cli import main
 
 
@@ -165,6 +166,8 @@ USAGE_ERRORS = {
     "compare-non-prime": ["compare", "x^2 - 2", "x^2 - 3", "--prime", "4"],
     "cap-negative": ["invariants", "x^3 - 2", "--cap", "-1"],
     "cap-zero": ["verify", "quadratic", "--range", "1..3", "--cap", "0"],
+    "jobs-zero": ["verify", "quadratic", "--range", "1..3", "--jobs", "0"],
+    "jobs-negative": ["verify", "quadratic", "--range", "1..3", "--jobs", "-2"],
     "primes-non-prime": ["invariants", "x^3 - 2", "--primes", "4,9"],
     "primes-non-integer": ["invariants", "x^3 - 2", "--primes", "2,a"],
     "out-unwritable": ["verify", "quadratic", "--range", "1..3", "--out", "/nonexistent/d/f"],
@@ -177,6 +180,37 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus, started", [(2, [2]), (64, [3]), (None, [])])
+def test_verify_jobs_starts_at_most_one_worker_per_parameter_and_cpu(
+    capsys, monkeypatch, cpus, started
+):
+    serial = run_cli(capsys, ["verify", "quadratic", "--range", "1..3"])
+    monkeypatch.setattr(families, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "started", [])
+    monkeypatch.setattr(families.os, "cpu_count", lambda: cpus)
+    argv = ["verify", "quadratic", "--range", "1..3", "--jobs", "100000"]
+    assert run_cli(capsys, argv) == serial
+    assert _InProcessPool.started == started
 
 
 def test_cap_exceeded_counts_classes_up_to_unit_multiple_and_translation(capsys):

@@ -1,5 +1,6 @@
 """Exact integer arithmetic: polynomials, resultants, HNF, valuations."""
 
+import itertools
 import math
 import random
 
@@ -301,3 +302,9 @@ def test_poly_arithmetic_basics():
     q, r = (f * g).divmod_exact(f)
     assert q == g and r.is_zero
     assert f.compose(parse_poly("x - 1")) == parse_poly("x^2 - 2*x + 2")
+
+
+def test_intpoly_iterates_over_its_coefficients():
+    # bounded, so a coefficient iteration that never ends fails instead of hanging
+    assert list(itertools.islice(IntPoly([1, 2]), 3)) == [1, 2]
+    assert IntPoly(IntPoly([1, 2])) == IntPoly([1, 2])

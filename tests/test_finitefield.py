@@ -1,5 +1,6 @@
 """Factorization over F_p, checked against exhaustive enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -28,8 +29,8 @@ def all_monic(p, degree):
 
 
 def is_irreducible_bruteforce(f):
-    """Oracle: no monic divisor of degree 1 .. deg-1."""
-    for d in range(1, f.degree):
+    """Oracle: no monic divisor of degree 1 .. deg/2."""
+    for d in range(1, f.degree // 2 + 1):
         for g in all_monic(f.p, d):
             if (f % g).is_zero:
                 return False
@@ -56,9 +57,9 @@ def test_factor_rejects_zero_mod_p():
 
 def test_factor_roundtrip_and_irreducibility_exhaustive():
     rng = random.Random(13)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         for _ in range(60):
-            deg = rng.randint(1, 4)
+            deg = rng.randint(1, 7)
             coeffs = [rng.randint(0, p - 1) for _ in range(deg)] + [rng.randint(1, p - 1)]
             f = ModPoly(p, coeffs)
             fac = factor_mod_p(f, p)
@@ -81,10 +82,19 @@ def test_factor_high_multiplicity_char_p_cases():
     cube = h * h * h
     fac = factor_mod_p(cube, 3)
     assert fac.product() == cube
+    # (x + 1)^7 mod 7 = x^7 + 1
+    fac = factor_mod_p(ModPoly(7, [1, 0, 0, 0, 0, 0, 0, 1]), 7)
+    assert [(list(h.coeffs), e) for h, e in fac.factors] == [([1, 1], 7)]
+    # x^7 + x^5 + x = x * (x^3 + x^2 + 1)^2 mod 2: a square beside a simple factor
+    s = ModPoly(2, [0, 1, 0, 0, 0, 1, 0, 1])
+    fac = factor_mod_p(s, 2)
+    assert [(list(h.coeffs), e) for h, e in fac.factors] == [
+        ([0, 1], 1),
+        ([1, 0, 1, 1], 2),
+    ]
 
 
 def test_factor_large_prime_path():
-    # p > 7 goes through distinct-degree/equal-degree splitting
     for p in (11, 17, 101):
         f = parse_poly("x^4 + 1")
         fac = factor_mod_p(f, p)
@@ -92,6 +102,11 @@ def test_factor_large_prime_path():
         assert sum(g.degree * e for g, e in fac.factors) == 4
         for g, _ in fac.factors:
             assert g.degree in (1, 2)  # x^4+1 never stays irreducible mod p
+    # (x^2 + 1)^3 (x + 5) mod 11: x^2 + 1 is irreducible since 11 = 3 mod 4
+    q = ModPoly(11, [1, 0, 1])
+    f = q * q * q * ModPoly(11, [5, 1])
+    fac = factor_mod_p(f, 11)
+    assert [(list(h.coeffs), e) for h, e in fac.factors] == [([5, 1], 1), ([1, 0, 1], 3)]
 
 
 def test_count_monic_irreducibles_examples():
@@ -119,3 +134,12 @@ def test_factor_output_deterministic():
     assert a == b
     degrees = [g.degree for g, _ in a.factors]
     assert degrees == sorted(degrees)
+
+
+def test_modpoly_is_not_iterable():
+    # bounded: at worst iter() succeeds and the first check fails, nothing hangs
+    g = ModPoly(5, [1, 2])
+    with pytest.raises(TypeError):
+        list(itertools.islice(g, 3))
+    with pytest.raises(TypeError):
+        ModPoly(5, g)
