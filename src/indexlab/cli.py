@@ -9,9 +9,10 @@ Polynomials are accepted as "[c0,c1,...,cn]" (ascending coefficients) or
 symbolically like "x^3 - 13*x + 4".  Output is byte-deterministic for a
 fixed input and format: JSON keys are sorted and big integers are printed
 as decimal strings.  Exit codes: 0 success/verified, 2 usage or parse
-error, 3 invalid field, 4 search budget exhausted.  Without --cap both
-refinement searches run to completion; --cap N only stops a search that
-would pass level N (exit 1), and a result it lets through is exact.
+error, 3 invalid field, 4 search budget exhausted or a search out of
+memory.  Without --cap both refinement searches run to completion;
+--cap N only stops a search that would pass level N (exit 1), and a
+result it lets through is exact.
 """
 
 from __future__ import annotations
@@ -320,6 +321,11 @@ def main(argv=None) -> int:
         return FIELD_ERROR
     except SearchBudgetExhausted as exc:
         sys.stderr.write(f"search failed: {exc}\n")
+        return BUDGET_ERROR
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError names the array it could not allocate
+        detail = f" ({exc})" if str(exc) else ""
+        sys.stderr.write(f"search failed: out of memory{detail}\n")
         return BUDGET_ERROR
     except IndexLabError as exc:
         sys.stderr.write(f"error: {exc}\n")

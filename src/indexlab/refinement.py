@@ -54,8 +54,9 @@ the level, which is the bound, and every earlier value is smaller still.
 So one undecided class makes the maximum the bound, and the first class
 that attains it is the first undecided class in list order: the witness
 that evaluating the whole level would give.  The level is evaluated in list
-order, a prefix of _HEAD classes first and the rest in one more batch, so a
-level with no undecided class costs one extra batch call.
+order, a prefix of _HEAD classes first and the rest, if there is any, in
+one more batch, so a level of more than _HEAD classes with no undecided
+class costs one extra batch call.
 
 min_index_valuation tracks w = v_p(det of the power-basis matrix).  The
 generator's class certifies at level v_p([A : Z[theta]]) + 1 at the latest,
@@ -82,12 +83,17 @@ stops by itself:
 
 Each level is evaluated as vectorized batches of at most _CHUNK classes
 (chunked to bound memory), with a max/min reduction at the level barrier.
-A batch is laid out batch last: np.tensordot(table, classes) gives the
+A batch is laid out batch last: one einsum over the times table gives the
 (n, n, B) multiplication matrices directly, the index search builds its
 (n, n, B) power-basis matrices from them, and one Berkowitz kernel works on
-whole contiguous (B,) rows of either.  Arithmetic runs in int64 with
-explicit reduction mod p^m, which is exact while p^m <= 2^25: a sum of
-seven products of two residues then stays below 2^53.  For n <= 7 the
+whole contiguous (B,) rows of either.  Arithmetic runs in int32 with
+explicit reduction mod p^m, which is exact while p^m <= 2^14.  Every
+operand is then a residue below 2^14, and every sum the kernel forms before
+it reduces holds at most n + 1 <= 8 nonnegative products of two residues:
+the contraction with the times table, the row and column products and the
+polynomial product in Berkowitz, a power step of the power-basis matrix,
+and a char poly's value at x = 0..n against the powers of x reduced
+mod p^m.  So no sum passes 8 * (2^14 - 1)^2 < 2^31.  For n <= 7 the
 modulus never gets that large.  The i search stops by level v_p(n!) <= 4.
 The index search stops by level v_p(I(K)) + 1, and v_p(I(K)) <= 12 for
 n <= 7 (Engstrom, Trans. AMS 32, 1930): the worst case is 2 splitting
@@ -104,7 +110,7 @@ from .arith import check_prime, vp_factorial
 from .errors import RefinementCapExceeded
 from .numberfield import _mod_table
 
-_INT64_SAFE_MOD = 1 << 25
+_INT32_SAFE_MOD = 1 << 14
 _CHUNK = 1 << 16
 _HEAD = 1 << 10  # classes tried first at the factorial bound
 
@@ -113,7 +119,7 @@ def _np_table(field, mod: int):
     # reduce the exact table before the cast: its entries can pass 2^63
     return field.memo(
         ("np_table", mod),
-        lambda: np.array(_mod_table(field.times_table, mod), dtype=np.int64),
+        lambda: np.array(_mod_table(field.times_table, mod), dtype=np.int32),
     )
 
 
@@ -161,14 +167,14 @@ def _charpoly_batch(mats, mod: int):
     poly = np.stack((np.ones_like(mats[0, 0]), -mats[0, 0] % mod))
     for i in range(1, n):
         row = mats[i, :i]
-        q = np.empty((i + 2,) + row.shape[1:], dtype=np.int64)
+        q = np.empty((i + 2,) + row.shape[1:], dtype=mats.dtype)
         q[0] = 1
         q[1] = -mats[i, i] % mod
         v = mats[:i, i]  # S^j C, S the leading i x i block and C column i
         for j in range(i):
-            q[2 + j] = -(row * v).sum(axis=0) % mod
+            q[2 + j] = -np.einsum("kb,kb->b", row, v) % mod
             if j < i - 1:
-                v = sum(mats[:i, k] * v[k] for k in range(i)) % mod
+                v = np.einsum("ikb,kb->ib", mats[:i, :i], v) % mod
         out = np.zeros_like(q)
         for c in range(i + 1):
             out[c:] += poly[c] * q[: i + 2 - c]
@@ -188,22 +194,26 @@ def _min_vp(values, p: int, m: int):
 
 
 def _mult_matrices(table, chunk, mod: int):
-    """The (n, n, B) matrices of multiplication by each class, batch last."""
-    return np.tensordot(table, chunk, axes=([0], [1])) % mod
+    """The (n, n, B) matrices of multiplication by each class, batch last.
+
+    Row i of matrix b is e_i times class b.  The classes are transposed to
+    contiguous (n, B) first, so the result has unit stride along the batch.
+    """
+    return np.einsum("kij,kb->ijb", table, np.ascontiguousarray(chunk.T)) % mod
 
 
 def _i_profile(field, p: int, m: int, classes):
     """Min valuation over x=0..n of charpoly values, per class (m = undecided)."""
     mod = p**m
     n = field.degree
-    assert mod <= _INT64_SAFE_MOD
+    assert mod <= _INT32_SAFE_MOD
     out = np.empty(len(classes), dtype=np.int64)
     table = _np_table(field, mod)
-    # row x holds x^n, ..., x, 1: the values F(x) at x = 0..n of a char
-    # poly with residue coefficients stay below 8 * 7^7 * mod < 2^48
-    powers = np.vander(np.arange(n + 1, dtype=np.int64), n + 1)
+    # row x holds x^n, ..., x, 1 mod `mod`: each value F(x) at x = 0..n is
+    # then a sum of n + 1 products of two residues, below 2^31
+    powers = (np.vander(np.arange(n + 1), n + 1) % mod).astype(np.int32)
     for lo in range(0, len(classes), _CHUNK):
-        chunk = classes[lo : lo + _CHUNK] % mod
+        chunk = (classes[lo : lo + _CHUNK] % mod).astype(np.int32)
         cp = _charpoly_batch(_mult_matrices(table, chunk, mod), mod)
         out[lo : lo + len(chunk)] = _min_vp(powers @ cp % mod, p, m)
     return out
@@ -213,18 +223,18 @@ def _index_profile(field, p: int, m: int, classes):
     """Valuation of the power-basis determinant, per class (m = undecided)."""
     mod = p**m
     n = field.degree
-    assert mod <= _INT64_SAFE_MOD
+    assert mod <= _INT32_SAFE_MOD
     out = np.empty(len(classes), dtype=np.int64)
     table = _np_table(field, mod)
     for lo in range(0, len(classes), _CHUNK):
-        chunk = classes[lo : lo + _CHUNK] % mod
+        chunk = (classes[lo : lo + _CHUNK] % mod).astype(np.int32)
         mult = _mult_matrices(table, chunk, mod)
         pw = np.zeros_like(mult)  # row k holds the coordinates of t^k
         pw[0, 0] = 1
         if n > 1:
             pw[1] = chunk.T
             for k in range(2, n):
-                pw[k] = (pw[k - 1][:, None] * mult).sum(axis=0) % mod
+                pw[k] = np.einsum("ib,ijb->jb", pw[k - 1], mult) % mod
         dets = _charpoly_batch(pw, mod)[n:]  # +- det; the sign is irrelevant
         out[lo : lo + len(chunk)] = _min_vp(dets, p, m)
     return out
@@ -269,7 +279,7 @@ def max_i_valuation(field, p: int, cap: int | None = None):
             # an undecided class is worth exactly the bound, more than any
             # certified one: the first is the witness, so try a prefix first
             profile = _i_profile(field, p, m, classes[:_HEAD])
-            if (profile < m).all():
+            if (profile < m).all() and len(classes) > _HEAD:
                 rest = _i_profile(field, p, m, classes[_HEAD:])
                 profile = np.concatenate((profile, rest))
             undecided = np.flatnonzero(profile >= m)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from indexlab import families
+from indexlab import families, invariants
 from indexlab.cli import main
 
 
@@ -221,3 +221,23 @@ def test_cap_exceeded_counts_classes_up_to_unit_multiple_and_translation(capsys)
     assert err == (
         "error: value-gcd refinement passed level 1 at p=2 (1 classes undecided)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError(), "search failed: out of memory\n"),
+        (
+            MemoryError("Unable to allocate 1.5 GiB for an array"),
+            "search failed: out of memory (Unable to allocate 1.5 GiB for an array)\n",
+        ),
+    ],
+    ids=["bare", "numpy-message"],
+)
+def test_search_out_of_memory_exits_4_with_one_line(capsys, monkeypatch, exc, message):
+    def min_index_valuation(field, p, cap=None):
+        raise exc
+
+    monkeypatch.setattr(invariants, "min_index_valuation", min_index_valuation)
+    code, out, err = run_cli(capsys, ["invariants", "x^3 - x^2 - 2*x - 8"])
+    assert (code, out, err) == (4, "", message)

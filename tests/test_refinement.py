@@ -1,5 +1,6 @@
 """Refinement searches: the symmetry t -> ut + c, the reduced class sets,
-the int64 Berkowitz kernel and the stop at the factorial bound."""
+the int32 kernel's contractions and Berkowitz step, and the stop at the
+factorial bound."""
 
 import math
 import random
@@ -8,14 +9,15 @@ import numpy as np
 import pytest
 
 from indexlab import refinement
-from indexlab.arith import vp_factorial
+from indexlab.arith import INFINITY, valuation, vp_factorial
 from indexlab.families import family_polynomial
 from indexlab.intpoly import IntPoly
-from indexlab.invariants import full_report
+from indexlab.invariants import full_report, i_theta
 from indexlab.numberfield import (
     _charpoly_rows,
     build_field,
     char_poly,
+    index_of,
     p_maximal_order,
     split_prime,
 )
@@ -187,16 +189,16 @@ KERNEL_FIELDS = [
     IntPoly([-7, 713, 1757, 1624, 735, 175, 21, 1]),
 ]
 # p^m from p = 2 up to 2^13, the top of the window the module docstring
-# argues for, and the int64 assertion's own limit
+# argues for, and the int32 assertion's own limit
 KERNEL_MODULI = [
-    2, 3, 4, 5, 7, 9, 25, 49, 2401, 3125, 6561, 1 << 13, refinement._INT64_SAFE_MOD
+    2, 3, 4, 5, 7, 9, 25, 49, 2401, 3125, 6561, 1 << 13, refinement._INT32_SAFE_MOD
 ]
 
 
 def kernel_layout(mats, mod):
     """Integer matrices, reduced mod `mod`, in the kernel's (n, n, B) layout."""
     rows = [[[c % mod for c in row] for row in mat] for mat in mats]
-    return np.moveaxis(np.array(rows, dtype=np.int64), 0, -1)
+    return np.moveaxis(np.array(rows, dtype=np.int32), 0, -1)
 
 
 @pytest.mark.parametrize(
@@ -219,6 +221,64 @@ def test_charpoly_kernel_matches_exact_char_poly(poly):
             got = refinement._charpoly_batch(kernel_layout(mats, mod), mod)
             assert got.shape == (n + 1, len(mats))
             assert got.T.tolist() == [[c % mod for c in cp] for cp in exact]
+
+
+# (p, m) with p^m up to the int32 bound: 2^14 is the bound itself
+PROFILE_MODULI = [(2, 1), (2, 5), (2, 14), (3, 2), (3, 8), (5, 6), (7, 4), (11, 4)]
+
+
+@pytest.mark.parametrize(
+    "poly", KERNEL_FIELDS, ids=[f"degree-{n}" for n in range(2, 8)]
+)
+def test_kernel_contractions_match_exact_routines(poly):
+    # a wrong contracted axis can still give the right profiles on one
+    # field at a few primes, so check each contraction's result directly
+    K = build_field(poly)
+    n = K.degree
+    rng = random.Random(100 + n)
+    randoms = [
+        K.element([rng.randint(-(10**6), 10**6) for _ in range(n)]) for _ in range(12)
+    ]
+    # the generator, every i witness and an element of 2A give nonzero values
+    witnesses = [refinement.max_i_valuation(K, p)[1] for p in (2, 3, 5, 7)]
+    elements = [K.generator(), 2 * randoms[0]] + randoms + [
+        K.element(list(w[1])) for w in witnesses if w is not None
+    ]
+    coords = np.array([t.coords for t in elements], dtype=object)
+    for mod in KERNEL_MODULI:
+        table = refinement._np_table(K, mod)
+        chunk = (coords % mod).astype(np.int32)
+        expected = kernel_layout([K.mult_matrix(t) for t in elements], mod)
+        assert np.array_equal(refinement._mult_matrices(table, chunk, mod), expected)
+    i_seen, idx_seen = set(), set()
+    for p, m in PROFILE_MODULI:
+        classes = (coords % p**m).astype(np.int64)
+        i_exact = [min(m, valuation(i_theta(K, t), p)) for t in elements]
+        idx_exact = [
+            m if d == INFINITY else min(m, valuation(d, p))
+            for d in (index_of(K, t) for t in elements)
+        ]
+        assert refinement._i_profile(K, p, m, classes).tolist() == i_exact
+        assert refinement._index_profile(K, p, m, classes).tolist() == idx_exact
+        i_seen.update(i_exact)
+        idx_seen.update(idx_exact)
+    assert max(i_seen) > 0 and max(idx_seen) > 0
+
+
+def test_i_search_never_evaluates_an_empty_batch(monkeypatch):
+    sizes = []
+    i_profile = refinement._i_profile
+
+    def recording(field, p, m, classes):
+        sizes.append(len(classes))
+        return i_profile(field, p, m, classes)
+
+    monkeypatch.setattr(refinement, "_i_profile", recording)
+    for poly, primes in CORPUS:
+        K = build_field(poly)
+        for p in primes:
+            refinement.max_i_valuation(K, p)
+    assert sizes and min(sizes) > 0
 
 
 def i_search_whole_bound_level(K, p):
