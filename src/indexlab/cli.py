@@ -34,7 +34,7 @@ from .errors import (
     SearchBudgetExhausted,
     UnknownFamily,
 )
-from .families import FAMILY_NAMES, verify_family
+from .families import verify_family
 from .intpoly import parse_poly
 from .invariants import InvariantReport, full_report, vp_iK, vp_IK
 from .numberfield import build_field, split_prime
@@ -79,7 +79,10 @@ def _check_prime_arg(p: int, what: str) -> int:
 
 
 def _parse_primes(text: str) -> list[int]:
-    return sorted({_check_prime_arg(p, "--primes") for p in _parse_ints(text, "--primes")})
+    primes = sorted({_check_prime_arg(p, "--primes") for p in _parse_ints(text, "--primes")})
+    if not primes:
+        raise UsageError(f"--primes: {text.strip()!r} names no prime")
+    return primes
 
 
 def _report_to_json(report: InvariantReport, primes: list[int]) -> dict:
@@ -146,9 +149,6 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.family not in FAMILY_NAMES:
-        sys.stderr.write(f"unknown family {args.family!r}; known: {', '.join(FAMILY_NAMES)}\n")
-        return USAGE_ERROR
     if args.jobs < 1:
         raise UsageError(f"--jobs: the worker count must be at least 1, got {args.jobs}")
     params = _parse_range(args.range)
@@ -184,6 +184,8 @@ def cmd_search_t1(args) -> int:
     _check_prime_arg(args.prime, "--prime")
     if args.prime > args.degree:
         raise UsageError(f"--prime: {args.prime} exceeds the degree {args.degree}")
+    if args.budget < 0:
+        raise UsageError(f"--budget: the candidate budget must be at least 0, got {args.budget}")
     result = search_prime_divisor_field(
         args.degree, args.prime, budget=args.budget, cap=args.cap
     )

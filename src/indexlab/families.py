@@ -271,7 +271,8 @@ def _family(name: str):
     try:
         return _FAMILIES[name]
     except KeyError:
-        raise UnknownFamily(f"unknown family {name!r}") from None
+        known = ", ".join(FAMILY_NAMES)
+        raise UnknownFamily(f"unknown family {name!r}; known: {known}") from None
 
 
 def family_polynomial(family: str, m: int) -> IntPoly:

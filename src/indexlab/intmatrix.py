@@ -1,57 +1,15 @@
-"""Exact integer matrices: Hermite normal form and fraction-free determinants.
+"""Exact integer matrices as row-lists: Hermite normal form, fraction-free
+determinants and triangular solves.
 
-The public hnf() is row-style: H = U*M with U unimodular, H in echelon form
-with positive pivots and the entries above each pivot reduced into
-[0, pivot).  Order lattices elsewhere in the package are stored through the
-lower-triangular variant (ascending power-basis columns) built on the same
-core routine.
+hnf_basis() puts the lattice spanned by some integer rows into row-style
+echelon form.  Order lattices elsewhere in the package are stored through
+hnf_lower(), the lower-triangular variant over ascending power-basis
+columns, which runs hnf_basis() on the column-reversed rows.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInput, RankDeficient
-
-
-class IntMatrix:
-    """Immutable rectangular integer matrix (row-major)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rs = tuple(tuple(int(x) for x in row) for row in rows)
-        if not rs or not rs[0]:
-            raise InvalidInput("matrix dimensions must be >= 1")
-        width = len(rs[0])
-        if any(len(r) != width for r in rs):
-            raise InvalidInput("matrix rows must have equal length")
-        object.__setattr__(self, "rows", rs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("IntMatrix is immutable")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(mat_mul(self.rows, other.rows))
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
 
 def mat_mul(a, b):
@@ -102,12 +60,15 @@ def det_rows(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _hnf_rows(rows, want_transform: bool):
-    """Echelon HNF of a row-list; returns (H rows incl. zero rows, U rows, rank)."""
+def hnf_basis(rows) -> list[list[int]]:
+    """HNF basis (nonzero rows only) of the lattice generated by `rows`.
+
+    Row-style echelon form: pivots positive, their columns strictly
+    increasing, and the entries above each pivot reduced into [0, pivot).
+    """
     h = [list(r) for r in rows]
     nr = len(h)
     nc = len(h[0])
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)] if want_transform else None
     row = 0
     for col in range(nc):
         # gather a single nonzero entry at (row, col) by Euclidean steps
@@ -119,16 +80,12 @@ def _hnf_rows(rows, want_transform: bool):
             i0 = min(live, key=lambda i: abs(h[i][col]))
             if i0 != row:
                 h[row], h[i0] = h[i0], h[row]
-                if u is not None:
-                    u[row], u[i0] = u[i0], u[row]
             done = True
             for i in range(row + 1, nr):
                 if h[i][col]:
                     q = h[i][col] // h[row][col]
                     if q:
                         h[i] = [a - q * b for a, b in zip(h[i], h[row])]
-                        if u is not None:
-                            u[i] = [a - q * b for a, b in zip(u[i], u[row])]
                     if h[i][col]:
                         done = False
             if done:
@@ -138,36 +95,15 @@ def _hnf_rows(rows, want_transform: bool):
             continue
         if pivot < 0:
             h[row] = [-a for a in h[row]]
-            if u is not None:
-                u[row] = [-a for a in u[row]]
             pivot = -pivot
         for i in range(row):
             q = h[i][col] // pivot
             if q:
                 h[i] = [a - q * b for a, b in zip(h[i], h[row])]
-                if u is not None:
-                    u[i] = [a - q * b for a, b in zip(u[i], u[row])]
         row += 1
         if row == nr:
             break
-    return h, u, row
-
-
-def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form: (H, U) with H = U*M and U unimodular.
-
-    Requires full row rank; raises RankDeficient otherwise.
-    """
-    h, u, rank = _hnf_rows(m.rows, want_transform=True)
-    if rank < m.nrows:
-        raise RankDeficient(f"rank {rank} < {m.nrows} rows")
-    return IntMatrix(h), IntMatrix(u)
-
-
-def hnf_basis(rows) -> list[list[int]]:
-    """HNF basis (nonzero rows only) of the lattice generated by `rows`."""
-    h, _, rank = _hnf_rows(rows, want_transform=False)
-    return h[:rank]
+    return h[:row]
 
 
 def hnf_lower(rows) -> list[list[int]]:

@@ -103,6 +103,8 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "IntPoly":
+        if e < 0:
+            raise InvalidInput("IntPoly power needs a nonnegative exponent")
         out = IntPoly([1])
         base = self
         while e:

@@ -22,7 +22,6 @@ each component onto its residue field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arith import INFINITY, check_prime, divisors, square_divisor_primes
 from .errors import (
@@ -32,7 +31,6 @@ from .errors import (
     ReduciblePolynomial,
 )
 from .intmatrix import (
-    IntMatrix,
     det_rows,
     hnf_basis,
     hnf_lower,
@@ -371,27 +369,6 @@ def dedekind_test(f, p: int) -> bool:
     return gcd_mod(gcd_mod(t_bar, g_bar), h_bar).degree == 0
 
 
-@dataclass(frozen=True)
-class PMaximalOrder:
-    """p-maximal overorder of an equation order: basis/den over the power basis."""
-
-    basis: IntMatrix
-    den: int
-    vp_index: int
-
-
-def p_maximal_order(f, p: int) -> PMaximalOrder:
-    """Round-2 loop at p starting from the equation order of f.
-
-    Returns the p-maximal order's basis (lower-triangular HNF over the power
-    basis, common denominator `den`) and v_p of its index over Z[theta].
-    """
-    f = _check_defining_poly(f)
-    check_prime(p)
-    order, total = _p_maximalize(_equation_order(f), p)
-    return PMaximalOrder(basis=IntMatrix(order.w), den=order.den, vp_index=total)
-
-
 # -- splitting types ---------------------------------------------------------
 
 
@@ -520,10 +497,6 @@ class NumberField:
         if key in self._memo:
             return self._memo[key]
         return self._memo.setdefault(key, compute())
-
-    @property
-    def basis(self) -> IntMatrix:
-        return IntMatrix(self.basis_rows)
 
     @property
     def times_table(self):

@@ -170,6 +170,8 @@ USAGE_ERRORS = {
     "jobs-negative": ["verify", "quadratic", "--range", "1..3", "--jobs", "-2"],
     "primes-non-prime": ["invariants", "x^3 - 2", "--primes", "4,9"],
     "primes-non-integer": ["invariants", "x^3 - 2", "--primes", "2,a"],
+    "primes-none": ["invariants", "x^3 - 2", "--primes", ","],
+    "budget-negative": ["search-t1", "--degree", "3", "--prime", "2", "--budget", "-4"],
     "out-unwritable": ["verify", "quadratic", "--range", "1..3", "--out", "/nonexistent/d/f"],
 }
 

@@ -14,7 +14,7 @@ from indexlab.errors import (
     ParseError,
     RankDeficient,
 )
-from indexlab.intmatrix import IntMatrix, det_rows, hnf
+from indexlab.intmatrix import det_rows, hnf_basis, hnf_lower, mat_mul
 from indexlab.intpoly import IntPoly, parse_poly, poly_discriminant, poly_resultant
 
 
@@ -198,16 +198,20 @@ def test_gcd_all():
 # -- HNF -------------------------------------------------------------------------
 
 
+def gram(rows):
+    """rows times its transpose."""
+    return mat_mul(rows, [list(c) for c in zip(*rows)])
+
+
 def test_hnf_examples():
-    m = IntMatrix([[2, 4], [0, 2]])
-    h, u = hnf(m)
-    assert h.rows == ((2, 0), (0, 2))
-    assert u * m == h
-    ident = IntMatrix.identity(2)
-    h, u = hnf(ident)
-    assert h == ident and u == ident
-    h, _ = hnf(IntMatrix([[0, 1], [1, 0]]))
-    assert h == ident
+    assert hnf_basis([[2, 4], [0, 2]]) == [[2, 0], [0, 2]]
+    assert hnf_basis([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+    assert hnf_basis([[0, 1], [1, 0]]) == [[1, 0], [0, 1]]
+    # zero rows drop out of the basis
+    assert hnf_basis([[2, 4], [1, 2], [0, 0]]) == [[1, 2]]
+    # lower-triangular variant: pivots ascend along the columns from the right
+    assert hnf_lower([[2, 0], [1, 1]]) == [[2, 0], [1, 1]]
+    assert hnf_lower([[1, 1], [0, 2]]) == [[2, 0], [1, 1]]
 
 
 def test_hnf_properties_random():
@@ -215,35 +219,33 @@ def test_hnf_properties_random():
     for _ in range(200):
         nr = rng.randint(1, 4)
         nc = rng.randint(nr, 5)
-        m = IntMatrix(
-            [[rng.randint(-30, 30) for _ in range(nc)] for _ in range(nr)]
-        )
-        try:
-            h, u = hnf(m)
-        except RankDeficient:
-            continue
-        assert u * m == h
-        assert abs(det_rows(u.rows)) == 1
+        m = [[rng.randint(-30, 30) for _ in range(nc)] for _ in range(nr)]
+        h = hnf_basis(m)
         # echelon shape with positive pivots, reduced entries above each pivot
         pivots = []
-        for row in h.rows:
+        for row in h:
             nz = [j for j, x in enumerate(row) if x]
             assert nz
             pivots.append(nz[0])
         assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
         for r, pc in enumerate(pivots):
-            piv = h.rows[r][pc]
+            piv = h[r][pc]
             assert piv > 0
             for i in range(r):
-                assert 0 <= h.rows[i][pc] < piv
+                assert 0 <= h[i][pc] < piv
+        # every row of m lies in the lattice of h
+        assert hnf_basis(m + h) == h
+        # full row rank: equal Gram determinants, so the lattices are equal
+        if len(h) == nr:
+            assert det_rows(gram(m)) == det_rows(gram(h))
         # idempotence
-        h2, _ = hnf(h)
-        assert h2 == h
+        assert hnf_basis(h) == h
 
 
 def test_hnf_rank_deficient():
+    assert hnf_basis([[1, 2], [2, 4]]) == [[1, 2]]
     with pytest.raises(RankDeficient):
-        hnf(IntMatrix([[1, 2], [2, 4]]))
+        hnf_lower([[1, 2], [2, 4]])
 
 
 def test_factorint_exact_with_ascending_int_keys():
@@ -302,6 +304,13 @@ def test_poly_arithmetic_basics():
     q, r = (f * g).divmod_exact(f)
     assert q == g and r.is_zero
     assert f.compose(parse_poly("x - 1")) == parse_poly("x^2 - 2*x + 2")
+
+
+def test_intpoly_power_rejects_negative_exponent():
+    f = IntPoly([1, 1])
+    assert f**0 == IntPoly([1]) and f**3 == f * f * f
+    with pytest.raises(InvalidInput):
+        f**-1
 
 
 def test_intpoly_iterates_over_its_coefficients():

@@ -175,7 +175,7 @@ def test_family_polynomial_examples():
     )
     assert family_polynomial("quadratic", -7) == parse_poly("x^2 + 7")
     assert family_polynomial("pure_cubic", 5) == parse_poly("x^3 - 5")
-    with pytest.raises(UnknownFamily):
+    with pytest.raises(UnknownFamily, match="'octic'; known: quadratic, pure_cubic, "):
         family_polynomial("octic", 1)
 
 

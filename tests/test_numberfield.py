@@ -15,9 +15,11 @@ import pytest
 
 from indexlab.arith import INFINITY, primes_upto, valuation
 from indexlab.errors import DegreeOutOfScope, InvalidDegree, ReduciblePolynomial
-from indexlab.intpoly import IntPoly, parse_poly, poly_discriminant
+from indexlab.intpoly import IntPoly, as_poly, parse_poly, poly_discriminant
 from indexlab.numberfield import (
     SplittingType,
+    _equation_order,
+    _p_maximalize,
     _split_via_algebra,
     build_field,
     char_poly,
@@ -25,11 +27,16 @@ from indexlab.numberfield import (
     index_of,
     is_irreducible,
     is_primitive,
-    p_maximal_order,
     split_prime,
 )
 
 DEDEKIND = "x^3 - x^2 - 2*x - 8"
+
+
+def round2_gain(f, p):
+    """v_p of the index of Z[theta] in its p-maximal overorder, from the
+    Round-2 loop alone (no Dedekind pre-filter)."""
+    return _p_maximalize(_equation_order(as_poly(f)), p)[1]
 
 
 def charpoly_over_q(mult_rows):
@@ -147,9 +154,9 @@ def test_dedekind_criterion_examples():
 
 
 def test_p_maximal_order_examples():
-    assert p_maximal_order("x^2 - 17", 2).vp_index == 1
-    assert p_maximal_order("x^3 - x + 3", 3).vp_index == 0
-    assert p_maximal_order(DEDEKIND, 2).vp_index == 1
+    assert round2_gain("x^2 - 17", 2) == 1
+    assert round2_gain("x^3 - x + 3", 3) == 0
+    assert round2_gain(DEDEKIND, 2) == 1
 
 
 def test_dedekind_agrees_with_round2():
@@ -159,7 +166,7 @@ def test_dedekind_agrees_with_round2():
         if not is_irreducible(f):
             continue
         for p in (2, 3, 5):
-            assert dedekind_test(f, p) == (p_maximal_order(f, p).vp_index == 0)
+            assert dedekind_test(f, p) == (round2_gain(f, p) == 0)
 
 
 # -- splitting ---------------------------------------------------------------

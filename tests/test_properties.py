@@ -9,8 +9,11 @@ from indexlab.invariants import full_report
 from indexlab.numberfield import build_field, is_irreducible
 
 
-def summary(poly):
-    r = full_report(build_field(poly))
+def report_of(poly):
+    return full_report(build_field(poly))
+
+
+def summary(r):
     splittings = {p: str(s) for p, s in r.splittings.items()}
     return r.field_disc, r.i_K, r.I_K, r.valuations, splittings
 
@@ -32,6 +35,9 @@ def test_translate_and_negation_define_the_same_field(lower, c):
     # the char polys of theta + c and -theta
     shifted = f.compose(IntPoly([-c, 1]))
     negated = f.compose(IntPoly([0, -1])) * (-1) ** n
-    base = summary(f)
-    assert summary(shifted) == base
-    assert summary(negated) == base
+    report = report_of(f)
+    base = summary(report)
+    assert summary(report_of(shifted)) == base
+    assert summary(report_of(negated)) == base
+    # the witness is primitive, so its char poly defines the same field too
+    assert summary(report_of(report.witness_char_poly)) == base

@@ -11,14 +11,15 @@ import pytest
 from indexlab import refinement
 from indexlab.arith import INFINITY, valuation, vp_factorial
 from indexlab.families import family_polynomial
-from indexlab.intpoly import IntPoly
+from indexlab.intpoly import IntPoly, as_poly
 from indexlab.invariants import full_report, i_theta
 from indexlab.numberfield import (
     _charpoly_rows,
+    _equation_order,
+    _p_maximalize,
     build_field,
     char_poly,
     index_of,
-    p_maximal_order,
     split_prime,
 )
 
@@ -160,7 +161,7 @@ def test_index_valuations_multiply_to_the_basis_index():
         K = build_field(poly)
         assert math.prod(p**v for p, v in K.index_valuations.items()) == K.index
         for p, v in K.index_valuations.items():
-            assert v == p_maximal_order(poly, p).vp_index
+            assert v == _p_maximalize(_equation_order(as_poly(poly)), p)[1]
 
 
 def test_caps_at_the_stopping_levels_never_bind():
