@@ -1,7 +1,7 @@
 """Command-line front end.
 
     indexlab invariants <poly> [--format json|tsv] [--primes 2,3,5]
-    indexlab verify <family> --range A..B [--jobs N] [--out FILE]
+    indexlab verify <family> --range A..B [--format tsv|json]
     indexlab search-t1 --degree n --prime p [--budget N]
     indexlab compare <poly1> <poly2> --prime p
 
@@ -138,9 +138,11 @@ def _dump_json(obj) -> str:
 
 
 def cmd_invariants(args) -> int:
+    # a bad --primes list is refused before any field work
+    chosen = _parse_primes(args.primes) if args.primes else None
     field = build_field(parse_poly(args.poly))
     report = full_report(field, args.cap)
-    primes = _parse_primes(args.primes) if args.primes else primes_upto(field.degree)
+    primes = chosen or primes_upto(field.degree)
     if args.format == "json":
         sys.stdout.write(_dump_json(_report_to_json(report, primes)))
     else:
@@ -149,22 +151,11 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs: the worker count must be at least 1, got {args.jobs}")
-    params = _parse_range(args.range)
-    report = verify_family(args.family, params, jobs=args.jobs, cap=args.cap)
+    report = verify_family(args.family, _parse_range(args.range), cap=args.cap)
     if args.format == "json":
-        text = _dump_json(report.to_json_dict())
+        sys.stdout.write(_dump_json(report.to_json_dict()))
     else:
-        text = report.to_tsv()
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"--out: cannot write {args.out!r}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+        sys.stdout.write(report.to_tsv())
     alpha = report.alpha_table()
     if alpha and args.format != "json":
         sys.stdout.write("# measured v2(i) per parameter:\n")
@@ -278,9 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="A..B inclusive or comma list; use --range=-10..10 for negatives",
     )
-    p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--format", choices=("json", "tsv"), default="tsv")
-    p_ver.add_argument("--out", default=None, help="write the report to this file")
     p_ver.set_defaults(func=cmd_verify)
 
     p_t1 = sub.add_parser("search-t1", parents=[cap], help="find a degree-n field with p | i(K)")

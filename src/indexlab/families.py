@@ -15,9 +15,6 @@ parameter so output is reproducible byte for byte.
 
 from __future__ import annotations
 
-import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .arith import factorint, is_squarefree, valuation
@@ -404,21 +401,12 @@ class VerificationReport:
         return out
 
 
-def verify_family(family: str, params, jobs: int = 1, cap: int | None = None) -> VerificationReport:
+def verify_family(family: str, params, cap: int | None = None) -> VerificationReport:
     """Sweep the parameters, comparing predictions against the exact engine.
 
-    Parameter points are distributed over a process pool when jobs > 1; it
-    starts at most one worker per parameter and per CPU.  Rows are merged in
-    parameter order either way.
+    Each distinct parameter is checked once, in increasing order, so the
+    rows come out in parameter order.
     """
     _family(family)  # an unknown name fails before any work
     ms = sorted(set(int(m) for m in params))
-    workers = min(jobs, len(ms), os.cpu_count() or 1)
-    if workers > 1:
-        args = (itertools.repeat(family), ms, itertools.repeat(cap))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(verify_one, *args, chunksize=4))
-    else:
-        rows = [verify_one(family, m, cap) for m in ms]
-    rows.sort(key=lambda r: r["m"])
-    return VerificationReport(family=family, rows=rows)
+    return VerificationReport(family=family, rows=[verify_one(family, m, cap) for m in ms])

@@ -1,5 +1,5 @@
 """Exact integer matrices as row-lists: Hermite normal form, fraction-free
-determinants and triangular solves.
+determinants and lower-triangular solves.
 
 hnf_basis() puts the lattice spanned by some integer rows into row-style
 echelon form.  Order lattices elsewhere in the package are stored through
@@ -117,21 +117,6 @@ def hnf_lower(rows) -> list[list[int]]:
     if len(h) != len(rows[0]):
         raise RankDeficient("lattice basis is not full rank")
     return [list(reversed(r)) for r in reversed(h)]
-
-
-def solve_upper_triangular(rows, y):
-    """Solve x*R = y exactly for upper-triangular R; None if no integer solution."""
-    n = len(rows)
-    x = [0] * n
-    for j in range(n):
-        acc = y[j]
-        for i in range(j):
-            acc -= x[i] * rows[i][j]
-        piv = rows[j][j]
-        if acc % piv:
-            return None
-        x[j] = acc // piv
-    return x
 
 
 def solve_lower_triangular(rows, y):

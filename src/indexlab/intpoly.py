@@ -130,24 +130,6 @@ class IntPoly:
             out = out * inner + IntPoly([c])
         return out
 
-    def divmod_exact(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Quotient and remainder for a monic (or +-1-lc) divisor."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if abs(divisor.lc) != 1:
-            raise InvalidInput("divmod_exact needs a divisor with unit leading coefficient")
-        rem = list(self.coeffs)
-        d = divisor.degree
-        lc = divisor.lc
-        quot = [0] * max(0, len(rem) - d)
-        for k in range(len(rem) - 1, d - 1, -1):
-            q = rem[k] * lc  # lc is +-1
-            if q:
-                quot[k - d] = q
-                for j, c in enumerate(divisor.coeffs):
-                    rem[k - d + j] -= q * c
-        return IntPoly(quot), IntPoly(rem)
-
     # -- text -------------------------------------------------------------
 
     def __str__(self) -> str:

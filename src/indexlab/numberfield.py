@@ -32,11 +32,9 @@ from .errors import (
 )
 from .intmatrix import (
     det_rows,
-    hnf_basis,
     hnf_lower,
     mat_mul,
     solve_lower_triangular,
-    solve_upper_triangular,
 )
 from .intpoly import MAX_DEGREE, IntPoly, as_poly, poly_discriminant
 from .modpoly import ModPoly, factor_mod_p, gcd_mod
@@ -300,18 +298,16 @@ def _radical_mod_p(table, p, n):
 
 
 def _lattice_mod_p(vectors, p, n):
-    """HNF basis of the lattice p*Z^n + span(vectors)."""
+    """Lower-triangular HNF basis of the lattice p*Z^n + span(vectors)."""
     rows = [[p if i == j else 0 for j in range(n)] for i in range(n)]
     rows.extend([x % p for x in v] for v in vectors)
-    return hnf_basis(rows)
+    return hnf_lower(rows)
 
 
 def _radical_rows(order, p):
     """HNF basis of the radical of p*O inside O (Frobenius kernel pullback)."""
     n = order.n
-    basis = _lattice_mod_p(_radical_mod_p(_mod_table(order.table, p), p, n), p, n)
-    assert len(basis) == n
-    return basis
+    return _lattice_mod_p(_radical_mod_p(_mod_table(order.table, p), p, n), p, n)
 
 
 def _enlarge_at_p(order, p):
@@ -324,7 +320,7 @@ def _enlarge_at_p(order, p):
         e = _unit(n, i)
         for j in range(n):
             u = _mul(e, rad[j], order.table)
-            z = solve_upper_triangular(rad, u)
+            z = solve_lower_triangular(rad, u)
             assert z is not None, "radical is not an ideal"
             flat.extend(z)
         big.append([x % p for x in flat])
@@ -554,9 +550,8 @@ def build_field(f) -> NumberField:
     for p in square_divisor_primes(disc_f):
         if dedekind_test(f, p):
             continue
-        order, gain = _p_maximalize(order, p)
-        if gain:
-            index_valuations[p] = gain
+        # Dedekind's criterion is an iff, so this gain is at least 1
+        order, index_valuations[p] = _p_maximalize(order, p)
     return NumberField(order, index_valuations, disc_f)
 
 

@@ -1,10 +1,13 @@
 """CLI behavior: output formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from indexlab import families, invariants
+from indexlab import cli, invariants
 from indexlab.cli import main
 
 
@@ -80,15 +83,12 @@ def test_verify_tsv_output(capsys):
     assert "0 discrepancies" in err
 
 
-def test_verify_json_and_out_file(capsys, tmp_path):
-    out_file = tmp_path / "report.json"
+def test_verify_json_output(capsys):
     code, out, _ = run_cli(
-        capsys,
-        ["verify", "quadratic", "--range=-20..20", "--format", "json",
-         "--out", str(out_file)],
+        capsys, ["verify", "quadratic", "--range=-20..20", "--format", "json"]
     )
     assert code == 0
-    payload = json.loads(out_file.read_text())
+    payload = json.loads(out)
     assert payload["family"] == "quadratic"
     assert payload["discrepancies"] == 0
 
@@ -166,13 +166,12 @@ USAGE_ERRORS = {
     "compare-non-prime": ["compare", "x^2 - 2", "x^2 - 3", "--prime", "4"],
     "cap-negative": ["invariants", "x^3 - 2", "--cap", "-1"],
     "cap-zero": ["verify", "quadratic", "--range", "1..3", "--cap", "0"],
-    "jobs-zero": ["verify", "quadratic", "--range", "1..3", "--jobs", "0"],
-    "jobs-negative": ["verify", "quadratic", "--range", "1..3", "--jobs", "-2"],
     "primes-non-prime": ["invariants", "x^3 - 2", "--primes", "4,9"],
     "primes-non-integer": ["invariants", "x^3 - 2", "--primes", "2,a"],
     "primes-none": ["invariants", "x^3 - 2", "--primes", ","],
+    # refused before the field is built: x^4 + 4 is reducible (exit 3)
+    "primes-before-field": ["invariants", "x^4 + 4", "--primes", "4"],
     "budget-negative": ["search-t1", "--degree", "3", "--prime", "2", "--budget", "-4"],
-    "out-unwritable": ["verify", "quadratic", "--range", "1..3", "--out", "/nonexistent/d/f"],
 }
 
 
@@ -184,35 +183,39 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+def test_invariants_parses_primes_before_building_the_field(capsys, monkeypatch):
+    def build_field(f):
+        raise AssertionError("the field was built before --primes was parsed")
 
-    started: list = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
+    monkeypatch.setattr(cli, "build_field", build_field)
+    code, out, err = run_cli(capsys, ["invariants", "x^3 - 2", "--primes", ","])
+    assert (code, out, err) == (2, "", "usage error: --primes: ',' names no prime\n")
 
 
-@pytest.mark.parametrize("cpus, started", [(2, [2]), (64, [3]), (None, [])])
-def test_verify_jobs_starts_at_most_one_worker_per_parameter_and_cpu(
-    capsys, monkeypatch, cpus, started
-):
-    serial = run_cli(capsys, ["verify", "quadratic", "--range", "1..3"])
-    monkeypatch.setattr(families, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "started", [])
-    monkeypatch.setattr(families.os, "cpu_count", lambda: cpus)
-    argv = ["verify", "quadratic", "--range", "1..3", "--jobs", "100000"]
-    assert run_cli(capsys, argv) == serial
-    assert _InProcessPool.started == started
+@pytest.mark.parametrize(
+    "option", [["--jobs", "2"], ["--out", "report.tsv"]], ids=["jobs", "out"]
+)
+def test_verify_has_no_jobs_or_out_option(capsys, tmp_path, monkeypatch, option):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "quadratic", "--range", "1..3", *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "report.tsv").exists()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = (
+        "import sys, indexlab.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    # the fresh interpreter imports this same checkout of the package
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_cap_exceeded_counts_classes_up_to_unit_multiple_and_translation(capsys):
