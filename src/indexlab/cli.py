@@ -49,6 +49,14 @@ class UsageError(Exception):
     """A command-line argument outside its documented domain (exit 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one `usage error:` line, like
+    every other usage error; --help still prints and exits 0."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_int(tok: str, what: str) -> int:
     try:
         return int(tok)
@@ -241,7 +249,7 @@ def cmd_compare(args) -> int:
 
 @functools.cache  # built on first use, then shared: parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="indexlab",
         description="Exact index invariants i(K) and I(K) of number fields of degree <= 7.",
     )
@@ -292,9 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.cap is not None and args.cap < 1:
             raise UsageError(f"--cap: the level cap must be at least 1, got {args.cap}")
         return args.func(args)

@@ -81,19 +81,30 @@ stops by itself:
   breaks at best == 0 or m >= best before its cap test, and best <= best0,
   so that test only runs with m < best0 <= cap.
 
-Each level is evaluated as vectorized batches of at most _CHUNK classes
-(chunked to bound memory), with a max/min reduction at the level barrier.
-A batch is laid out batch last: one einsum over the times table gives the
-(n, n, B) multiplication matrices directly, the index search builds its
-(n, n, B) power-basis matrices from them, and one Berkowitz kernel works on
-whole contiguous (B,) rows of either.  Arithmetic runs in int32 with
-explicit reduction mod p^m, which is exact while p^m <= 2^14.  Every
-operand is then a residue below 2^14, and every sum the kernel forms before
-it reduces holds at most n + 1 <= 8 nonnegative products of two residues:
-the contraction with the times table, the row and column products and the
-polynomial product in Berkowitz, a power step of the power-basis matrix,
-and a char poly's value at x = 0..n against the powers of x reduced
-mod p^m.  So no sum passes 8 * (2^14 - 1)^2 < 2^31.  For n <= 7 the
+Each level is evaluated as vectorized batches of at most _CHUNK classes,
+with a max/min reduction at the level barrier.  _CHUNK is small enough that
+a batch's (n, n, B) int32 matrices stay in cache across the Berkowitz
+steps.  A batch is laid out batch last: one einsum over the times table
+gives the (n, n, B) multiplication matrices directly, the index search
+builds its (n, n, B) power-basis matrices from them, and one Berkowitz
+kernel works on whole contiguous (B,) rows of either.  Arithmetic runs in
+int32 with explicit reduction mod p^m, which is exact while p^m <= 2^14.
+
+_reduce computes x mod p^m as x - (x // p^m) * p^m: numpy divides an
+integer array by a scalar with a multiply and a shift (Granlund and
+Montgomery, PLDI 1994), while its `%` by a scalar is not vectorized.  Floor
+division puts (x // p^m) * p^m in (x - p^m, x], so the result lies in
+[0, p^m) for x of either sign.  Every operand is a residue below 2^14, and
+every value the kernel reduces is a sum of at most n + 1 <= 8 products of
+two residues, or the negation of one: the contraction with the times
+table, the row products (negated), the column products and the polynomial
+product in Berkowitz, a power step of the power-basis matrix, and a char
+poly's value at x = 0..n against the powers of x reduced mod p^m.
+Berkowitz reduces each step's q[1] = -a_ii and q[2 + j] = -row . S^j C
+together, once; S^j C itself is reduced at every j, because it feeds the
+next product.  So every value before its reduction has
+|x| <= 8 * (2^14 - 1)^2 = 2^31 - 2^18 + 8, the product (x // p^m) * p^m
+is at most p^m further from 0, and no step leaves int32.  For n <= 7 the
 modulus never gets that large.  The i search stops by level v_p(n!) <= 4.
 The index search stops by level v_p(I(K)) + 1, and v_p(I(K)) <= 12 for
 n <= 7 (Engstrom, Trans. AMS 32, 1930): the worst case is 2 splitting
@@ -104,6 +115,8 @@ p^m <= 2^13.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .arith import check_prime, vp_factorial
@@ -111,7 +124,7 @@ from .errors import RefinementCapExceeded
 from .numberfield import _mod_table
 
 _INT32_SAFE_MOD = 1 << 14
-_CHUNK = 1 << 16
+_CHUNK = 1 << 12  # classes per batch: its matrices stay in cache
 _HEAD = 1 << 10  # classes tried first at the factorial bound
 
 
@@ -123,12 +136,29 @@ def _np_table(field, mod: int):
     )
 
 
+def _reduce(x, mod: int):
+    """x mod `mod` in [0, mod), in place: x - (x // mod) * mod.
+
+    Only for a fresh array: never a view of the caller's classes.
+    """
+    quot = x // mod
+    quot *= mod
+    x -= quot
+    return x
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 def _grid(p: int, n: int):
     """The p^(n-1) classes mod p with coordinate 0 held at 0, in lex order."""
     grid = np.indices((1,) + (p,) * (n - 1), dtype=np.int64)
     return grid.reshape(n, -1).T
 
 
+@functools.cache  # read-only, so every caller can share it
 def _all_classes(p: int, n: int):
     """The (p^(n-1) - 1)/(p - 1) classes mod p with coordinate 0 held at 0
     and first nonzero coordinate equal to 1, in lex order: one per orbit of
@@ -139,7 +169,15 @@ def _all_classes(p: int, n: int):
         block[:, k:] = _grid(p, n - k)
         block[:, k] = 1
         blocks.append(block)
-    return np.concatenate(blocks)
+    return _frozen(np.concatenate(blocks))
+
+
+@functools.cache
+def _child_offsets(p: int, n: int):
+    """Row k - 1: the p^(n-2) digit vectors mod p with coordinates 0 and k
+    held at 0, in lex order (read-only)."""
+    grid = _grid(p, n - 1)
+    return _frozen(np.stack([np.insert(grid, k, 0, axis=1) for k in range(1, n)]))
 
 
 def _children(survivors, p: int, m: int):
@@ -149,10 +187,15 @@ def _children(survivors, p: int, m: int):
     units = survivors % p != 0
     assert units.any(axis=1).all()  # the zero class mod p is never searched
     lead = units.argmax(axis=1)
-    grid = _grid(p, n - 1)
-    offsets = np.stack([np.insert(grid, k, 0, axis=1) for k in range(1, n)]) * (p**m)
-    kids = survivors[:, None, :] + offsets[lead - 1]
+    kids = _child_offsets(p, n)[lead - 1] * (p**m)
+    kids += survivors[:, None, :]
     return kids.reshape(-1, n)
+
+
+@functools.cache
+def _powers(n: int, mod: int):
+    """Row x holds x^n, ..., x, 1 mod `mod` for x = 0..n, int32 (read-only)."""
+    return _frozen((np.vander(np.arange(n + 1), n + 1) % mod).astype(np.int32))
 
 
 def _charpoly_batch(mats, mod: int):
@@ -164,32 +207,34 @@ def _charpoly_batch(mats, mod: int):
     two residues before it is reduced.
     """
     n = mats.shape[0]
-    poly = np.stack((np.ones_like(mats[0, 0]), -mats[0, 0] % mod))
+    poly = np.stack((np.ones_like(mats[0, 0]), _reduce(-mats[0, 0], mod)))
     for i in range(1, n):
         row = mats[i, :i]
         q = np.empty((i + 2,) + row.shape[1:], dtype=mats.dtype)
         q[0] = 1
-        q[1] = -mats[i, i] % mod
+        q[1] = mats[i, i]
         v = mats[:i, i]  # S^j C, S the leading i x i block and C column i
         for j in range(i):
-            q[2 + j] = -np.einsum("kb,kb->b", row, v) % mod
+            np.einsum("kb,kb->b", row, v, out=q[2 + j])
             if j < i - 1:
-                v = np.einsum("ikb,kb->ib", mats[:i, :i], v) % mod
+                v = _reduce(np.einsum("ikb,kb->ib", mats[:i, :i], v), mod)
+        np.negative(q[1:], out=q[1:])
+        _reduce(q[1:], mod)  # one reduction per step: see the module docstring
         out = np.zeros_like(q)
         for c in range(i + 1):
             out[c:] += poly[c] * q[: i + 2 - c]
-        poly = out % mod
+        poly = _reduce(out, mod)
     return poly
 
 
 def _min_vp(values, p: int, m: int):
     """Per-column min p-valuation of residues in [0, p^m); m stands for 'all zero'."""
     v = np.full(values.shape[1:], m, dtype=np.int64)
-    acc = values.copy()
     for k in range(m):
-        fresh = (acc % p != 0).any(axis=0) & (v == m)
+        quot = values // p  # p | x iff x == (x // p) * p; `%` is slower
+        fresh = (values != quot * p).any(axis=0) & (v == m)
         v[fresh] = k
-        acc //= p
+        values = quot
     return v
 
 
@@ -199,7 +244,7 @@ def _mult_matrices(table, chunk, mod: int):
     Row i of matrix b is e_i times class b.  The classes are transposed to
     contiguous (n, B) first, so the result has unit stride along the batch.
     """
-    return np.einsum("kij,kb->ijb", table, np.ascontiguousarray(chunk.T)) % mod
+    return _reduce(np.einsum("kij,kb->ijb", table, np.ascontiguousarray(chunk.T)), mod)
 
 
 def _i_profile(field, p: int, m: int, classes):
@@ -209,13 +254,12 @@ def _i_profile(field, p: int, m: int, classes):
     assert mod <= _INT32_SAFE_MOD
     out = np.empty(len(classes), dtype=np.int64)
     table = _np_table(field, mod)
-    # row x holds x^n, ..., x, 1 mod `mod`: each value F(x) at x = 0..n is
-    # then a sum of n + 1 products of two residues, below 2^31
-    powers = (np.vander(np.arange(n + 1), n + 1) % mod).astype(np.int32)
+    # each value F(x) at x = 0..n is a sum of n + 1 products of two residues
+    powers = _powers(n, mod)
     for lo in range(0, len(classes), _CHUNK):
-        chunk = (classes[lo : lo + _CHUNK] % mod).astype(np.int32)
+        chunk = _reduce(np.array(classes[lo : lo + _CHUNK]), mod).astype(np.int32)
         cp = _charpoly_batch(_mult_matrices(table, chunk, mod), mod)
-        out[lo : lo + len(chunk)] = _min_vp(powers @ cp % mod, p, m)
+        out[lo : lo + len(chunk)] = _min_vp(_reduce(powers @ cp, mod), p, m)
     return out
 
 
@@ -227,14 +271,14 @@ def _index_profile(field, p: int, m: int, classes):
     out = np.empty(len(classes), dtype=np.int64)
     table = _np_table(field, mod)
     for lo in range(0, len(classes), _CHUNK):
-        chunk = (classes[lo : lo + _CHUNK] % mod).astype(np.int32)
+        chunk = _reduce(np.array(classes[lo : lo + _CHUNK]), mod).astype(np.int32)
         mult = _mult_matrices(table, chunk, mod)
         pw = np.zeros_like(mult)  # row k holds the coordinates of t^k
         pw[0, 0] = 1
         if n > 1:
             pw[1] = chunk.T
             for k in range(2, n):
-                pw[k] = np.einsum("ib,ijb->jb", pw[k - 1], mult) % mod
+                _reduce(np.einsum("ib,ijb->jb", pw[k - 1], mult, out=pw[k]), mod)
         dets = _charpoly_batch(pw, mod)[n:]  # +- det; the sign is irrelevant
         out[lo : lo + len(chunk)] = _min_vp(dets, p, m)
     return out

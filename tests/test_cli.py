@@ -172,6 +172,11 @@ USAGE_ERRORS = {
     # refused before the field is built: x^4 + 4 is reducible (exit 3)
     "primes-before-field": ["invariants", "x^4 + 4", "--primes", "4"],
     "budget-negative": ["search-t1", "--degree", "3", "--prime", "2", "--budget", "-4"],
+    # refused by the argument parser itself
+    "cap-non-integer": ["invariants", "x^2-2", "--cap", "x"],
+    "format-unknown": ["invariants", "x^2-2", "--format", "xml"],
+    "poly-missing": ["invariants"],
+    "command-missing": [],
 }
 
 
@@ -197,10 +202,9 @@ def test_invariants_parses_primes_before_building_the_field(capsys, monkeypatch)
 )
 def test_verify_has_no_jobs_or_out_option(capsys, tmp_path, monkeypatch, option):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "quadratic", "--range", "1..3", *option])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, ["verify", "quadratic", "--range", "1..3", *option])
+    assert (code, out) == (2, "")
+    assert err == f"usage error: unrecognized arguments: {' '.join(option)}\n"
     assert not (tmp_path / "report.tsv").exists()
 
 

@@ -1,6 +1,6 @@
 """Refinement searches: the symmetry t -> ut + c, the reduced class sets,
-the int32 kernel's contractions and Berkowitz step, and the stop at the
-factorial bound."""
+the int32 kernel's reduction, contractions, Berkowitz step and batching,
+and the stop at the factorial bound."""
 
 import math
 import random
@@ -196,6 +196,36 @@ KERNEL_MODULI = [
 ]
 
 
+def test_reduce_matches_python_remainder():
+    # the kernel reduces nothing larger in magnitude than 8 products of two
+    # residues below 2^14 (see the module docstring)
+    top = 8 * (refinement._INT32_SAFE_MOD - 1) ** 2
+    assert top == 2**31 - 2**18 + 8
+    rng = np.random.default_rng(14)
+    edges = np.arange(-40, 41)
+    xs = np.concatenate(
+        (-top + 40 + edges, edges, top - 40 + edges, rng.integers(-top, top + 1, 4000))
+    ).astype(np.int32)
+    assert xs.min() == -top and xs.max() == top
+    for mod in KERNEL_MODULI:
+        got = refinement._reduce(xs.copy(), mod)
+        assert got.dtype == np.int32
+        assert got.tolist() == [x % mod for x in xs.tolist()]
+
+
+def test_cached_constants_are_read_only():
+    # shared by every search: a write through one caller must fail
+    for shared in (
+        refinement._all_classes(3, 4),
+        refinement._child_offsets(3, 4),
+        refinement._powers(4, 9),
+    ):
+        with pytest.raises(ValueError):
+            shared[(0,) * shared.ndim] = 1
+        with pytest.raises(ValueError):
+            shared += 1
+
+
 def kernel_layout(mats, mod):
     """Integer matrices, reduced mod `mod`, in the kernel's (n, n, B) layout."""
     rows = [[[c % mod for c in row] for row in mat] for mat in mats]
@@ -332,3 +362,23 @@ def test_bound_level_stop_keeps_value_and_witness(poly, p, level, head, monkeypa
         # a one-class prefix: the rest of the level is one more batch
         monkeypatch.setattr(refinement, "_HEAD", head)
     assert refinement.max_i_valuation(K, p) == expected
+
+
+@pytest.mark.parametrize("chunk", [7, 1000])
+def test_chunked_levels_match_one_batch(chunk, monkeypatch):
+    # 19 608 classes: 2 801 full chunks of 7, or 19 of 1 000 and a short
+    # last chunk of 608
+    x7 = build_field(IntPoly([1, -3, 0, 0, 0, 0, 0, 1]))
+    t1 = build_field(KERNEL_FIELDS[5])
+    classes = refinement._all_classes(7, 7)
+    monkeypatch.setattr(refinement, "_CHUNK", len(classes))
+    i_whole = refinement._i_profile(x7, 7, 1, classes)
+    index_whole = refinement._index_profile(x7, 7, 1, classes)
+    # 64 undecided classes, spread from class 280 to class 19 441
+    assert np.count_nonzero(index_whole) == 64
+    search = refinement.max_i_valuation(t1, 7)
+    assert search[0] == 1  # 7 | i(K), with a witness class
+    monkeypatch.setattr(refinement, "_CHUNK", chunk)
+    assert np.array_equal(refinement._i_profile(x7, 7, 1, classes), i_whole)
+    assert np.array_equal(refinement._index_profile(x7, 7, 1, classes), index_whole)
+    assert refinement.max_i_valuation(t1, 7) == search
