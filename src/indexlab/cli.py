@@ -77,7 +77,10 @@ def _parse_range(text: str) -> list[int]:
         if hi < lo:
             raise UsageError(f"--range: empty range {text!r}")
         return list(range(lo, hi + 1))
-    return _parse_ints(text, "--range")
+    params = _parse_ints(text, "--range")
+    if not params:
+        raise UsageError(f"--range: {text!r} names no parameter")
+    return params
 
 
 def _check_prime_arg(p: int, what: str) -> int:
@@ -212,8 +215,7 @@ def cmd_compare(args) -> int:
     f1 = parse_poly(args.poly1)
     f2 = parse_poly(args.poly2)
     if f1.degree != f2.degree:
-        sys.stderr.write("polynomials must have the same degree\n")
-        return USAGE_ERROR
+        raise UsageError("polynomials must have the same degree")
     p = _check_prime_arg(args.prime, "--prime")
     k1 = build_field(f1)
     k2 = build_field(f2)

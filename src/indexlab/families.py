@@ -27,7 +27,9 @@ from .errors import (
     UnknownFamily,
 )
 from .intpoly import IntPoly
-from .numberfield import is_irreducible
+from .invariants import full_report
+from .numberfield import build_field, is_irreducible
+
 
 @dataclass(frozen=True)
 class FamilyPrediction:
@@ -308,9 +310,6 @@ def verify_one(family: str, m: int, cap: int | None = None) -> dict:
         return row
     row["I_pred"] = pred.I_pred
     row["i_pred"] = sorted(pred.i_pred)
-    from .invariants import full_report
-    from .numberfield import build_field
-
     try:
         field = build_field(family_polynomial(family, m))
     except ReduciblePolynomial:

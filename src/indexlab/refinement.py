@@ -81,13 +81,18 @@ stops by itself:
   breaks at best == 0 or m >= best before its cap test, and best <= best0,
   so that test only runs with m < best0 <= cap.
 
-Each level is evaluated as vectorized batches of at most _CHUNK classes,
-with a max/min reduction at the level barrier.  _CHUNK is small enough that
-a batch's (n, n, B) int32 matrices stay in cache across the Berkowitz
-steps.  A batch is laid out batch last: one einsum over the times table
-gives the (n, n, B) multiplication matrices directly, the index search
-builds its (n, n, B) power-basis matrices from them, and one Berkowitz
-kernel works on whole contiguous (B,) rows of either.  Arithmetic runs in
+Both searches evaluate a level with one routine, _profile, in vectorized
+batches of at most _CHUNK classes, with a max/min reduction at the level
+barrier; they differ only in the residues whose valuation it takes, the
+char poly's values at x = 0..n (_char_values) or the power-basis
+determinant (_index_dets).  _CHUNK is small enough that a batch's (n, n, B)
+int32 matrices stay in cache across the Berkowitz steps.  A batch is laid
+out batch last: one einsum over the times table gives the (n, n, B)
+multiplication matrices, _index_dets builds the power-basis matrices from
+them, and one Berkowitz kernel works on whole contiguous (B,) rows of
+either.  Each chunk of classes is cast straight to int32: every class a
+search passes is a residue below p^m (level 1 holds digits below p, and
+_children adds multiples of p^m to residues below p^m).  Arithmetic runs in
 int32 with explicit reduction mod p^m, which is exact while p^m <= 2^14.
 
 _reduce computes x mod p^m as x - (x // p^m) * p^m: numpy divides an
@@ -247,51 +252,48 @@ def _mult_matrices(table, chunk, mod: int):
     return _reduce(np.einsum("kij,kb->ijb", table, np.ascontiguousarray(chunk.T)), mod)
 
 
-def _i_profile(field, p: int, m: int, classes):
-    """Min valuation over x=0..n of charpoly values, per class (m = undecided)."""
-    mod = p**m
-    n = field.degree
-    assert mod <= _INT32_SAFE_MOD
-    out = np.empty(len(classes), dtype=np.int64)
-    table = _np_table(field, mod)
+def _char_values(mult, mod: int):
+    """F(x) mod `mod` at x = 0..n, per class: the (n + 1, B) values."""
+    n = mult.shape[0]
     # each value F(x) at x = 0..n is a sum of n + 1 products of two residues
-    powers = _powers(n, mod)
-    for lo in range(0, len(classes), _CHUNK):
-        chunk = _reduce(np.array(classes[lo : lo + _CHUNK]), mod).astype(np.int32)
-        cp = _charpoly_batch(_mult_matrices(table, chunk, mod), mod)
-        out[lo : lo + len(chunk)] = _min_vp(_reduce(powers @ cp, mod), p, m)
-    return out
+    return _reduce(_powers(n, mod) @ _charpoly_batch(mult, mod), mod)
 
 
-def _index_profile(field, p: int, m: int, classes):
-    """Valuation of the power-basis determinant, per class (m = undecided)."""
+def _index_dets(mult, mod: int):
+    """The power-basis determinant mod `mod`, up to sign, per class: (1, B)."""
+    n = mult.shape[0]
+    pw = np.zeros_like(mult)  # row k holds the coordinates of t^k
+    pw[0, 0] = 1
+    if n > 1:
+        pw[1] = mult[0]  # e_0 t = t: basis vector 0 is 1
+        for k in range(2, n):
+            _reduce(np.einsum("ib,ijb->jb", pw[k - 1], mult, out=pw[k]), mod)
+    return _charpoly_batch(pw, mod)[n:]  # +- det; the sign is irrelevant
+
+
+def _profile(field, p: int, m: int, classes, values):
+    """Min valuation of `values(mult, p^m)` per class (m = undecided); the
+    classes must be residues in [0, p^m)."""
     mod = p**m
-    n = field.degree
     assert mod <= _INT32_SAFE_MOD
     out = np.empty(len(classes), dtype=np.int64)
     table = _np_table(field, mod)
     for lo in range(0, len(classes), _CHUNK):
-        chunk = _reduce(np.array(classes[lo : lo + _CHUNK]), mod).astype(np.int32)
+        chunk = classes[lo : lo + _CHUNK].astype(np.int32)
         mult = _mult_matrices(table, chunk, mod)
-        pw = np.zeros_like(mult)  # row k holds the coordinates of t^k
-        pw[0, 0] = 1
-        if n > 1:
-            pw[1] = chunk.T
-            for k in range(2, n):
-                _reduce(np.einsum("ib,ijb->jb", pw[k - 1], mult, out=pw[k]), mod)
-        dets = _charpoly_batch(pw, mod)[n:]  # +- det; the sign is irrelevant
-        out[lo : lo + len(chunk)] = _min_vp(dets, p, m)
+        out[lo : lo + len(chunk)] = _min_vp(values(mult, mod), p, m)
     return out
 
 
-def _cap_exceeded(search: str, level_cap: int, p: int, undecided: int, best=None):
-    """The error for a search that would pass its level cap with `undecided`
-    classes not yet certified at that level."""
-    so_far = "" if best is None else f", best so far {best}"
-    return RefinementCapExceeded(
-        f"{search} refinement passed level {level_cap} at p={p} "
-        f"({undecided} classes undecided{so_far})"
-    )
+def _check_cap(search: str, cap: int | None, m: int, p: int, undecided: int, best=None):
+    """Raise RefinementCapExceeded if building level m + 1 (m = 0 before
+    level 1) passes the cap, with `undecided` classes left at level m."""
+    if cap is not None and m >= cap:
+        so_far = "" if best is None else f", best so far {best}"
+        raise RefinementCapExceeded(
+            f"{search} refinement passed level {cap} at p={p} "
+            f"({undecided} classes undecided{so_far})"
+        )
 
 
 # -- public searches -----------------------------------------------------------
@@ -313,18 +315,17 @@ def max_i_valuation(field, p: int, cap: int | None = None):
     best = 0
     witness = None
     classes = _all_classes(p, n)
-    if cap is not None and cap < 1:
-        raise _cap_exceeded("value-gcd", cap, p, len(classes))
+    _check_cap("value-gcd", cap, 0, p, len(classes))
     m = 1
     while True:
         if m < bound:
-            profile = _i_profile(field, p, m, classes)
+            profile = _profile(field, p, m, classes, _char_values)
         else:
             # an undecided class is worth exactly the bound, more than any
             # certified one: the first is the witness, so try a prefix first
-            profile = _i_profile(field, p, m, classes[:_HEAD])
+            profile = _profile(field, p, m, classes[:_HEAD], _char_values)
             if (profile < m).all() and len(classes) > _HEAD:
-                rest = _i_profile(field, p, m, classes[_HEAD:])
+                rest = _profile(field, p, m, classes[_HEAD:], _char_values)
                 profile = np.concatenate((profile, rest))
             undecided = np.flatnonzero(profile >= m)
             if len(undecided):
@@ -339,8 +340,7 @@ def max_i_valuation(field, p: int, cap: int | None = None):
         survivors = classes[~certified]
         if not len(survivors):
             return best, witness
-        if cap is not None and m >= cap:
-            raise _cap_exceeded("value-gcd", cap, p, len(survivors))
+        _check_cap("value-gcd", cap, m, p, len(survivors))
         classes = _children(survivors, p, m)
         m += 1
 
@@ -359,11 +359,10 @@ def min_index_valuation(field, p: int, cap: int | None = None) -> int:
     if best == 0:
         return 0
     classes = _all_classes(p, n)
-    if cap is not None and cap < 1:
-        raise _cap_exceeded("index", cap, p, len(classes), best)
+    _check_cap("index", cap, 0, p, len(classes), best)
     m = 1
     while len(classes):
-        profile = _index_profile(field, p, m, classes)
+        profile = _profile(field, p, m, classes, _index_dets)
         certified = profile < m
         if certified.any():
             best = min(best, int(profile[certified].min()))
@@ -373,8 +372,7 @@ def min_index_valuation(field, p: int, cap: int | None = None) -> int:
         if not len(survivors) or m >= best:
             # survivors carry valuation >= m and cannot beat the minimum
             break
-        if cap is not None and m >= cap:
-            raise _cap_exceeded("index", cap, p, len(survivors), best)
+        _check_cap("index", cap, m, p, len(survivors), best)
         classes = _children(survivors, p, m)
         m += 1
     return best

@@ -160,10 +160,13 @@ def test_every_subcommand_documents_cap(capsys, command):
 USAGE_ERRORS = {
     "empty-range": ["verify", "quadratic", "--range", "5..2"],
     "non-integer-range": ["verify", "quadratic", "--range", "1,x"],
+    "range-none": ["verify", "quadratic", "--range", ","],
+    "range-blank": ["verify", "quadratic", "--range", ""],
     "degree-out-of-scope": ["search-t1", "--degree", "9", "--prime", "2"],
     "prime-above-degree": ["search-t1", "--degree", "3", "--prime", "5"],
     "search-non-prime": ["search-t1", "--degree", "5", "--prime", "4"],
     "compare-non-prime": ["compare", "x^2 - 2", "x^2 - 3", "--prime", "4"],
+    "compare-degree-mismatch": ["compare", "x^2 - 2", "x^3 - 2", "--prime", "2"],
     "cap-negative": ["invariants", "x^3 - 2", "--cap", "-1"],
     "cap-zero": ["verify", "quadratic", "--range", "1..3", "--cap", "0"],
     "primes-non-prime": ["invariants", "x^3 - 2", "--primes", "4,9"],

@@ -56,6 +56,14 @@ def canonical(x, p, m):
     return tuple(int(c) * u % p**m for c in x)
 
 
+def i_profile(K, p, m, classes):
+    return refinement._profile(K, p, m, classes, refinement._char_values)
+
+
+def index_profile(K, p, m, classes):
+    return refinement._profile(K, p, m, classes, refinement._index_dets)
+
+
 # (polynomial, primes): degrees 2 to 6, with nonzero i and I valuations
 CORPUS = [
     ("x^2 - 17", (2,)),
@@ -93,19 +101,20 @@ def test_profiles_are_translation_invariant(poly, p, m):
     mod = p**m
     rng = np.random.default_rng(17)
     classes = full_grid(p, n) if m == 1 else rng.integers(0, mod, size=(60, n))
-    base_i = refinement._i_profile(K, p, m, classes)
-    base_idx = refinement._index_profile(K, p, m, classes)
+    base_i = i_profile(K, p, m, classes)
+    base_idx = index_profile(K, p, m, classes)
     for k in range(1, mod):
         moved = classes.copy()
         moved[:, 0] += k  # basis vector 0 is 1, so this is theta -> theta + k
-        assert np.array_equal(refinement._i_profile(K, p, m, moved), base_i)
-        assert np.array_equal(refinement._index_profile(K, p, m, moved), base_idx)
+        moved %= mod  # the evaluator takes residues below p^m
+        assert np.array_equal(i_profile(K, p, m, moved), base_i)
+        assert np.array_equal(index_profile(K, p, m, moved), base_idx)
     for u in range(2, mod):
         if u % p == 0:
             continue
         scaled = (u * classes) % mod  # theta -> u * theta
-        assert np.array_equal(refinement._i_profile(K, p, m, scaled), base_i)
-        assert np.array_equal(refinement._index_profile(K, p, m, scaled), base_idx)
+        assert np.array_equal(i_profile(K, p, m, scaled), base_i)
+        assert np.array_equal(index_profile(K, p, m, scaled), base_idx)
 
 
 @pytest.mark.parametrize("p, n, levels", [(2, 4, 3), (3, 3, 2), (5, 3, 2), (7, 4, 1)])
@@ -115,6 +124,8 @@ def test_class_sets_hold_one_class_per_orbit(p, n, levels):
         if m > 1:
             classes = refinement._children(classes, p, m - 1)
         mod = p**m
+        # the evaluator casts the classes to int32 unreduced
+        assert classes.min() >= 0 and classes.max() < mod
         assert len(classes) == (p ** (n - 1) - 1) // (p - 1) * p ** ((n - 2) * (m - 1))
         # every class mod p^m with coordinate 0 at 0 and not 0 mod p is a
         # unit multiple of exactly one of them
@@ -289,8 +300,8 @@ def test_kernel_contractions_match_exact_routines(poly):
             m if d == INFINITY else min(m, valuation(d, p))
             for d in (index_of(K, t) for t in elements)
         ]
-        assert refinement._i_profile(K, p, m, classes).tolist() == i_exact
-        assert refinement._index_profile(K, p, m, classes).tolist() == idx_exact
+        assert i_profile(K, p, m, classes).tolist() == i_exact
+        assert index_profile(K, p, m, classes).tolist() == idx_exact
         i_seen.update(i_exact)
         idx_seen.update(idx_exact)
     assert max(i_seen) > 0 and max(idx_seen) > 0
@@ -298,13 +309,13 @@ def test_kernel_contractions_match_exact_routines(poly):
 
 def test_i_search_never_evaluates_an_empty_batch(monkeypatch):
     sizes = []
-    i_profile = refinement._i_profile
+    profile = refinement._profile
 
-    def recording(field, p, m, classes):
+    def recording(field, p, m, classes, values):
         sizes.append(len(classes))
-        return i_profile(field, p, m, classes)
+        return profile(field, p, m, classes, values)
 
-    monkeypatch.setattr(refinement, "_i_profile", recording)
+    monkeypatch.setattr(refinement, "_profile", recording)
     for poly, primes in CORPUS:
         K = build_field(poly)
         for p in primes:
@@ -320,7 +331,7 @@ def i_search_whole_bound_level(K, p):
     best, witness = 0, None
     classes = refinement._all_classes(p, n)
     for m in range(1, bound + 1):
-        profile = refinement._i_profile(K, p, m, classes)
+        profile = i_profile(K, p, m, classes)
         certified = profile < m
         if certified.any():
             w = int(profile[certified].max())
@@ -372,13 +383,13 @@ def test_chunked_levels_match_one_batch(chunk, monkeypatch):
     t1 = build_field(KERNEL_FIELDS[5])
     classes = refinement._all_classes(7, 7)
     monkeypatch.setattr(refinement, "_CHUNK", len(classes))
-    i_whole = refinement._i_profile(x7, 7, 1, classes)
-    index_whole = refinement._index_profile(x7, 7, 1, classes)
+    i_whole = i_profile(x7, 7, 1, classes)
+    index_whole = index_profile(x7, 7, 1, classes)
     # 64 undecided classes, spread from class 280 to class 19 441
     assert np.count_nonzero(index_whole) == 64
     search = refinement.max_i_valuation(t1, 7)
     assert search[0] == 1  # 7 | i(K), with a witness class
     monkeypatch.setattr(refinement, "_CHUNK", chunk)
-    assert np.array_equal(refinement._i_profile(x7, 7, 1, classes), i_whole)
-    assert np.array_equal(refinement._index_profile(x7, 7, 1, classes), index_whole)
+    assert np.array_equal(i_profile(x7, 7, 1, classes), i_whole)
+    assert np.array_equal(index_profile(x7, 7, 1, classes), index_whole)
     assert refinement.max_i_valuation(t1, 7) == search
