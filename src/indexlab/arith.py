@@ -2,52 +2,26 @@
 
 All functions are exact.  Python's built-in int is the arbitrary-precision
 integer type used throughout the package; nothing here ever rounds.
-Integer factorization, and primality beyond a small sieve, are delegated to
-sympy (imported lazily so that the small-prime paths stay cheap).
+Integer factorization and primality tests are delegated to sympy, which is
+imported on first use rather than with the package.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from functools import lru_cache
 
 from .errors import InvalidPrime
 
 INFINITY = math.inf
 
-_SMALL_PRIME_BOUND = 10_000
-
-
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    sieve = bytearray([1]) * _SMALL_PRIME_BOUND
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(_SMALL_PRIME_BOUND) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return tuple(i for i, b in enumerate(sieve) if b)
-
-
-@lru_cache(maxsize=1)
-def _small_prime_set() -> frozenset[int]:
-    return frozenset(_small_primes())
-
 
 def primes_upto(bound: int) -> list[int]:
     """Primes p <= bound, ascending."""
-    if bound < _SMALL_PRIME_BOUND:
-        ps = _small_primes()
-        return list(ps[: bisect_right(ps, bound)])
-    from sympy import primerange
-
-    return list(primerange(2, bound + 1))
+    return [p for p in range(2, bound + 1) if is_prime(p)]
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test (sympy for inputs beyond the small sieve)."""
-    if n < _SMALL_PRIME_BOUND:
-        return n in _small_prime_set()
+    """Exact primality test (sympy's)."""
     from sympy import isprime
 
     return bool(isprime(n))

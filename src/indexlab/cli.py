@@ -8,11 +8,12 @@
 Polynomials are accepted as "[c0,c1,...,cn]" (ascending coefficients) or
 symbolically like "x^3 - 13*x + 4".  Output is byte-deterministic for a
 fixed input and format: JSON keys are sorted and big integers are printed
-as decimal strings.  Exit codes: 0 success/verified, 2 usage or parse
-error, 3 invalid field, 4 search budget exhausted or a search out of
-memory.  Without --cap both refinement searches run to completion;
---cap N only stops a search that would pass level N (exit 1), and a
-result it lets through is exact.
+as decimal strings.  `verify` sweeps --range lazily: in TSV it writes
+each row as it finishes, in JSON one document at the end.  Exit codes:
+0 success/verified, 2 usage or parse error, 3 invalid field, 4 search
+budget exhausted or a search out of memory.  Without --cap both
+refinement searches run to completion; --cap N only stops a search that
+would pass level N (exit 1), and a result it lets through is exact.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     SearchBudgetExhausted,
     UnknownFamily,
 )
-from .families import verify_family
+from .families import is_discrepancy, verify_family
 from .intpoly import parse_poly
 from .invariants import InvariantReport, full_report, vp_iK, vp_IK
 from .numberfield import build_field, split_prime
@@ -68,16 +69,17 @@ def _parse_ints(text: str, what: str) -> list[int]:
     return [_parse_int(tok, what) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_range(text: str) -> list[int]:
-    """Parse "A..B" (inclusive) or a comma list "1,2,16"."""
+def _parse_range(text: str) -> range | list[int]:
+    """Parse "A..B" (inclusive) into a range, or a comma list "16,1,2" into
+    its distinct values in increasing order."""
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = _parse_int(lo_text, "--range"), _parse_int(hi_text, "--range")
         if hi < lo:
             raise UsageError(f"--range: empty range {text!r}")
-        return list(range(lo, hi + 1))
-    params = _parse_ints(text, "--range")
+        return range(lo, hi + 1)
+    params = sorted(set(_parse_ints(text, "--range")))
     if not params:
         raise UsageError(f"--range: {text!r} names no parameter")
     return params
@@ -144,6 +146,23 @@ def _report_to_tsv(report: InvariantReport, primes: list[int]) -> str:
     return "\n".join(f"{k}\t{v}" for k, v in rows) + "\n"
 
 
+_VERIFY_HEADER = "family\tm\tapplicable\tI_pred\tI_exact\ti_pred_set\ti_exact\tpass\n"
+
+
+def _cell(value) -> str:
+    return "-" if value is None else str(value)
+
+
+def _verify_row_to_tsv(row: dict) -> str:
+    pred_set = "{" + ",".join(map(str, row["i_pred"])) + "}" if row["i_pred"] else None
+    verdict = None if row["pass"] is None else int(row["pass"])
+    cells = (
+        row["family"], row["m"], int(row["applicable"]), row["I_pred"], row["I_exact"],
+        pred_set, row["i_exact"], verdict,
+    )
+    return "\t".join(map(_cell, cells)) + "\n"
+
+
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -162,22 +181,43 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify_family(args.family, _parse_range(args.range), cap=args.cap)
-    if args.format == "json":
-        sys.stdout.write(_dump_json(report.to_json_dict()))
-    else:
-        sys.stdout.write(report.to_tsv())
-    alpha = report.alpha_table()
-    if alpha and args.format != "json":
+    # a bad --range or family name is refused before anything is written
+    rows = verify_family(args.family, _parse_range(args.range), cap=args.cap)
+    tsv = args.format == "tsv"
+    if tsv:
+        sys.stdout.write(_VERIFY_HEADER)
+    kept, alpha = [], []
+    checked = skipped = discrepancies = 0
+    for row in rows:
+        if tsv:
+            sys.stdout.write(_verify_row_to_tsv(row))
+        else:
+            kept.append(row)  # JSON is one document, written at the end
+        checked += row["applicable"]
+        skipped += not row["applicable"]
+        discrepancies += is_discrepancy(row)
+        if "alpha_measured" in row:
+            alpha.append([row["m"], row["alpha_measured"]])
+    if not tsv:
+        out = {
+            "family": args.family,
+            "checked": checked,
+            "skipped": skipped,
+            "discrepancies": discrepancies,
+            "rows": kept,
+        }
+        if alpha:
+            out["alpha_table"] = alpha
+        sys.stdout.write(_dump_json(out))
+    elif alpha:
         sys.stdout.write("# measured v2(i) per parameter:\n")
         for m, a in alpha:
             sys.stdout.write(f"# m={m}\talpha={a}\n")
-    summary = (
-        f"{report.family}: {report.checked} checked, {report.skipped} skipped, "
-        f"{len(report.discrepancies)} discrepancies\n"
+    sys.stderr.write(
+        f"{args.family}: {checked} checked, {skipped} skipped, "
+        f"{discrepancies} discrepancies\n"
     )
-    sys.stderr.write(summary)
-    return 0 if report.ok else 1
+    return 1 if discrepancies else 0
 
 
 def cmd_search_t1(args) -> int:

@@ -51,11 +51,8 @@ class NotReduced(InvalidInput):
 
 
 class NotApplicable(IndexLabError):
-    """A family formula's applicability condition fails; carries the reason."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """A family formula's applicability condition fails; the message says
+    which."""
 
 
 class UnknownFamily(InvalidInput):

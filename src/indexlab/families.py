@@ -3,19 +3,19 @@ differential verifier that sweeps parameters and compares each prediction
 against the exact engine.
 
 Every predictor is a pure function of the parameter: it returns the
-predicted pair (I, i) together with applicability; the verifier builds the
-actual field, runs the exact invariant computation, and records one row per
-parameter.  A parameter whose search a level cap stops gets no verdict:
-its row keeps applicable = True, has pass = None and the cap message as its
-reason, and counts as a discrepancy.  A nonempty discrepancy list means the
-sweep failed.  Reports serialize to TSV (columns: family, m, applicable,
-I_pred, I_exact, i_pred_set, i_exact, pass) and JSON; rows are sorted by
-parameter so output is reproducible byte for byte.
+predicted pair (I, i), or raises NotApplicable or NotAField when the
+formula does not apply; the verifier builds the actual field, runs the
+exact invariant computation, and yields one row per parameter, in the
+order the parameters are given.  A parameter whose search a level cap
+stops gets no verdict: its row keeps applicable = True, has pass = None
+and the cap message as its reason, and counts as a discrepancy
+(`is_discrepancy`).  A sweep with a discrepancy failed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from .arith import factorint, is_squarefree, valuation
 from .errors import (
@@ -39,12 +39,8 @@ class FamilyPrediction:
     (a singleton everywhere except the sextic family's two-valued branch).
     """
 
-    family: str
-    param: int | tuple[int, int]
     I_pred: int | None
     i_pred: frozenset[int]
-    applicable: bool = True
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -132,12 +128,7 @@ def cubic_predict(a: int, b: int) -> FamilyPrediction:
         if a % 2 == 1 and b % 2 == 0 and form.s2 % 2 == 0 and form.delta2 % 8 == 1
         else 1
     )
-    return FamilyPrediction(
-        family="cubic",
-        param=(a, b),
-        I_pred=big_i,
-        i_pred=frozenset({2**alpha * 3**beta}),
-    )
+    return FamilyPrediction(I_pred=big_i, i_pred=frozenset({2**alpha * 3**beta}))
 
 
 def pure_cubic_predict(d: int) -> FamilyPrediction:
@@ -149,21 +140,14 @@ def pure_cubic_predict(d: int) -> FamilyPrediction:
         raise NotAField(f"{d} is a perfect cube")
     if any(e >= 3 for e in fac.values()):
         raise NotApplicable(f"{d} is not cube-free")
-    return FamilyPrediction(
-        family="pure_cubic",
-        param=d,
-        I_pred=None,
-        i_pred=frozenset({2 if d % 2 else 1}),
-    )
+    return FamilyPrediction(I_pred=None, i_pred=frozenset({2 if d % 2 else 1}))
 
 
 def simplest_cubic_predict(m: int) -> FamilyPrediction:
     """Cyclic cubic of x^3 - m*x^2 - (m+3)*x - 1: I = 1, i = 3 on three
     residue classes mod 243."""
     i = 3 if m % 243 in (39, 120, 201) else 1
-    return FamilyPrediction(
-        family="simplest_cubic", param=m, I_pred=1, i_pred=frozenset({i})
-    )
+    return FamilyPrediction(I_pred=1, i_pred=frozenset({i}))
 
 
 def simplest_quartic_predict(m: int) -> FamilyPrediction:
@@ -177,10 +161,7 @@ def simplest_quartic_predict(m: int) -> FamilyPrediction:
             raise NotApplicable(f"m^2 + 16 divisible by the odd square {p}^2")
     v2 = valuation(m0, 2)
     return FamilyPrediction(
-        family="simplest_quartic",
-        param=m,
-        I_pred=2 if m0 % 2 else 1,
-        i_pred=frozenset({1 if 1 <= v2 <= 3 else 4}),
+        I_pred=2 if m0 % 2 else 1, i_pred=frozenset({1 if 1 <= v2 <= 3 else 4})
     )
 
 
@@ -195,12 +176,7 @@ def lehmer_quintic_predict(m: int) -> FamilyPrediction:
     for p, e in factorint(c).items():
         if p != 5 and e >= 2:
             raise NotApplicable(f"conductor value divisible by {p}^2")
-    return FamilyPrediction(
-        family="lehmer_quintic",
-        param=m,
-        I_pred=1,
-        i_pred=frozenset({5 if m % 5 == 2 else 1}),
-    )
+    return FamilyPrediction(I_pred=1, i_pred=frozenset({5 if m % 5 == 2 else 1}))
 
 
 def simplest_sextic_predict(m: int) -> FamilyPrediction:
@@ -214,12 +190,7 @@ def simplest_sextic_predict(m: int) -> FamilyPrediction:
     else:
         alphas = (0,)
     beta = 2 if m % 243 in (39, 120, 201) else 0
-    return FamilyPrediction(
-        family="simplest_sextic",
-        param=m,
-        I_pred=1,
-        i_pred=frozenset(2**a * 3**beta for a in alphas),
-    )
+    return FamilyPrediction(I_pred=1, i_pred=frozenset(2**a * 3**beta for a in alphas))
 
 
 def quadratic_predict(m: int) -> FamilyPrediction:
@@ -229,12 +200,7 @@ def quadratic_predict(m: int) -> FamilyPrediction:
         raise NotAField(f"x^2 - {m} does not define a quadratic field")
     if not is_squarefree(m):
         raise NotApplicable(f"{m} is not squarefree")
-    return FamilyPrediction(
-        family="quadratic",
-        param=m,
-        I_pred=1,
-        i_pred=frozenset({2 if m % 8 == 1 else 1}),
-    )
+    return FamilyPrediction(I_pred=1, i_pred=frozenset({2 if m % 8 == 1 else 1}))
 
 
 def _lehmer_quintic_poly(m: int) -> IntPoly:
@@ -335,77 +301,17 @@ def verify_one(family: str, m: int, cap: int | None = None) -> dict:
     return row
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one family sweep; discrepancies are data, not exceptions."""
-
-    family: str
-    rows: list[dict] = field(default_factory=list)
-
-    @property
-    def discrepancies(self) -> list[dict]:
-        return [r for r in self.rows if r["applicable"] and not r["pass"]]
-
-    @property
-    def checked(self) -> int:
-        return sum(1 for r in self.rows if r["applicable"])
-
-    @property
-    def skipped(self) -> int:
-        return sum(1 for r in self.rows if not r["applicable"])
-
-    @property
-    def ok(self) -> bool:
-        return not self.discrepancies
-
-    def alpha_table(self) -> list[tuple[int, int]]:
-        """Measured v2(i) per parameter (the sextic formula's open 3-vs-4)."""
-        return [
-            (r["m"], r["alpha_measured"])
-            for r in self.rows
-            if r["applicable"] and "alpha_measured" in r
-        ]
-
-    def to_tsv(self) -> str:
-        lines = ["family\tm\tapplicable\tI_pred\tI_exact\ti_pred_set\ti_exact\tpass"]
-        for r in self.rows:
-            pred_set = "{" + ",".join(str(v) for v in r["i_pred"]) + "}" if r["i_pred"] else "-"
-            lines.append(
-                "\t".join(
-                    [
-                        r["family"],
-                        str(r["m"]),
-                        "1" if r["applicable"] else "0",
-                        "-" if r["I_pred"] is None else str(r["I_pred"]),
-                        "-" if r["I_exact"] is None else str(r["I_exact"]),
-                        pred_set,
-                        "-" if r["i_exact"] is None else str(r["i_exact"]),
-                        "-" if r["pass"] is None else ("1" if r["pass"] else "0"),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "discrepancies": len(self.discrepancies),
-            "rows": self.rows,
-        }
-        alpha = self.alpha_table()
-        if alpha:
-            out["alpha_table"] = [[m, a] for m, a in alpha]
-        return out
+def is_discrepancy(row: dict) -> bool:
+    """True for an applicable row without a passing verdict: a mismatch, or
+    a search a level cap stopped."""
+    return row["applicable"] and not row["pass"]
 
 
-def verify_family(family: str, params, cap: int | None = None) -> VerificationReport:
+def verify_family(family: str, params, cap: int | None = None) -> Iterator[dict]:
     """Sweep the parameters, comparing predictions against the exact engine.
 
-    Each distinct parameter is checked once, in increasing order, so the
-    rows come out in parameter order.
+    An unknown family name fails at once; the rows are then computed one
+    at a time, in the order the parameters are given.
     """
-    _family(family)  # an unknown name fails before any work
-    ms = sorted(set(int(m) for m in params))
-    return VerificationReport(family=family, rows=[verify_one(family, m, cap) for m in ms])
+    _family(family)
+    return (verify_one(family, m, cap) for m in params)

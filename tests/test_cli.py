@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from indexlab import cli, invariants
-from indexlab.cli import main
+from indexlab import cli, families, invariants
+from indexlab.cli import _parse_range, main
+from indexlab.errors import IndexLabError
 
 
 def run_cli(capsys, argv):
@@ -99,6 +100,46 @@ def test_verify_comma_list_range(capsys):
     )
     assert code == 0
     assert len(out.strip().split("\n")) == 4
+
+
+def test_verify_report_serialization(capsys):
+    argv = ["verify", "simplest_quartic", "--range", "1,2,3,16"]
+    code, tsv, _ = run_cli(capsys, argv)
+    assert code == 0
+    lines = tsv.strip().split("\n")
+    assert lines[0] == "family\tm\tapplicable\tI_pred\tI_exact\ti_pred_set\ti_exact\tpass"
+    assert len(lines) == 5
+    skip_line = [l for l in lines if l.split("\t")[1] == "3"][0]
+    assert skip_line.split("\t")[2] == "0"
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    payload = json.loads(out)
+    assert payload["family"] == "simplest_quartic"
+    assert payload["checked"] == 3 and payload["skipped"] == 1
+    # serialization is deterministic
+    assert run_cli(capsys, argv)[1] == tsv
+
+
+def test_parse_range_keeps_a_range_lazy():
+    params = _parse_range("1..10000000000")
+    assert isinstance(params, range) and len(params) == 10**10
+    assert _parse_range("16,3,1,2,3") == [1, 2, 3, 16]
+
+
+def test_verify_writes_each_row_as_it_finishes(capsys, monkeypatch):
+    verify_one = families.verify_one
+
+    def stop_at_the_second(family, m, cap=None):
+        if m == 3:
+            raise IndexLabError("stopped at m=3")
+        return verify_one(family, m, cap)
+
+    monkeypatch.setattr(families, "verify_one", stop_at_the_second)
+    code, out, err = run_cli(capsys, ["verify", "quadratic", "--range", "2..4"])
+    assert (code, err) == (1, "error: stopped at m=3\n")
+    assert out == (
+        "family\tm\tapplicable\tI_pred\tI_exact\ti_pred_set\ti_exact\tpass\n"
+        "quadratic\t2\t1\t1\t1\t{1}\t1\t1\n"
+    )
 
 
 def test_search_t1(capsys):

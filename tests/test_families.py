@@ -1,6 +1,5 @@
 """Family predictors and the differential verifier."""
 
-import json
 import random
 
 import pytest
@@ -12,6 +11,7 @@ from indexlab.families import (
     cubic_predict,
     cubic_reduce,
     family_polynomial,
+    is_discrepancy,
     lehmer_quintic_predict,
     pure_cubic_predict,
     quadratic_predict,
@@ -179,47 +179,47 @@ def test_family_polynomial_examples():
         family_polynomial("octic", 1)
 
 
+def _discrepancies(rows):
+    return [r for r in rows if is_discrepancy(r)]
+
+
+def _checked(rows):
+    return sum(1 for r in rows if r["applicable"])
+
+
 def test_verify_family_smoke():
-    rep = verify_family("simplest_cubic", range(0, 11))
-    assert rep.checked == 11 and not rep.discrepancies
-    rep = verify_family("quadratic", range(-50, 51))
-    assert not rep.discrepancies and rep.checked > 50
-    rep = verify_family("simplest_quartic", [1, 2, 16])
-    assert rep.checked == 3 and not rep.discrepancies
+    rows = list(verify_family("simplest_cubic", range(0, 11)))
+    assert _checked(rows) == 11 and not _discrepancies(rows)
+    rows = list(verify_family("quadratic", range(-50, 51)))
+    assert not _discrepancies(rows) and _checked(rows) > 50
+    rows = list(verify_family("simplest_quartic", [1, 2, 16]))
+    assert _checked(rows) == 3 and not _discrepancies(rows)
+
+
+def test_verify_family_yields_rows_in_the_given_order():
+    rows = verify_family("simplest_quartic", [16, 1, 2, 1])
+    assert [r["m"] for r in rows] == [16, 1, 2, 1]
+    with pytest.raises(UnknownFamily):
+        verify_family("octic", [1])
 
 
 def test_verify_reports_a_capped_parameter_as_a_row():
     # m = 1 finishes under cap 2; m = 8 needs level 4 at p = 2
-    rep = verify_family("simplest_sextic", [1, 8], cap=2)
-    ok, capped = rep.rows
+    rows = list(verify_family("simplest_sextic", [1, 8], cap=2))
+    ok, capped = rows
     assert (ok["m"], ok["pass"]) == (1, True)
     assert capped["m"] == 8 and capped["applicable"] is True
     assert capped["pass"] is None and capped["i_exact"] is None
     assert capped["reason"] == (
         "value-gcd refinement passed level 2 at p=2 (16 classes undecided)"
     )
-    assert rep.discrepancies == [capped] and not rep.ok
+    assert _discrepancies(rows) == [capped] and not is_discrepancy(ok)
 
 
 def test_verify_marks_reducible_parameters_inapplicable():
     row = verify_one("simplest_sextic", 5)
     assert row["applicable"] is False
     assert "reducible" in row["reason"]
-
-
-def test_report_serialization():
-    rep = verify_family("simplest_quartic", [1, 2, 3, 16])
-    tsv = rep.to_tsv()
-    lines = tsv.strip().split("\n")
-    assert lines[0] == "family\tm\tapplicable\tI_pred\tI_exact\ti_pred_set\ti_exact\tpass"
-    assert len(lines) == 5
-    skip_line = [l for l in lines if l.split("\t")[1] == "3"][0]
-    assert skip_line.split("\t")[2] == "0"
-    payload = json.loads(json.dumps(rep.to_json_dict()))
-    assert payload["family"] == "simplest_quartic"
-    assert payload["checked"] == 3 and payload["skipped"] == 1
-    # serialization is deterministic
-    assert rep.to_tsv() == verify_family("simplest_quartic", [1, 2, 3, 16]).to_tsv()
 
 
 def test_family_support_stays_in_allowed_primes():
@@ -236,15 +236,15 @@ def test_family_support_stays_in_allowed_primes():
         "simplest_sextic": (1, 8, 13, 39),
     }
     for family, ms in params.items():
-        rep = verify_family(family, ms)
-        assert not rep.discrepancies
-        for row in rep.rows:
+        rows = list(verify_family(family, ms))
+        assert not _discrepancies(rows)
+        for row in rows:
             if row["applicable"]:
                 assert set(row["maccluer"]) <= allowed[family]
 
 
 def test_sextic_alpha_table_recorded():
-    rep = verify_family("simplest_sextic", [1, 8, 120])
-    table = dict(rep.alpha_table())
+    rows = list(verify_family("simplest_sextic", [1, 8, 120]))
+    table = {r["m"]: r["alpha_measured"] for r in rows if r["applicable"]}
     assert table == {1: 0, 8: 3, 120: 3}
-    assert [r for r in rep.rows if r["m"] == 120][0]["beta_measured"] == 2
+    assert [r for r in rows if r["m"] == 120][0]["beta_measured"] == 2
