@@ -6,14 +6,15 @@
     indexlab compare <poly1> <poly2> --prime p
 
 Polynomials are accepted as "[c0,c1,...,cn]" (ascending coefficients) or
-symbolically like "x^3 - 13*x + 4".  Output is byte-deterministic for a
-fixed input and format: JSON keys are sorted and big integers are printed
-as decimal strings.  `verify` sweeps --range lazily: in TSV it writes
-each row as it finishes, in JSON one document at the end.  Exit codes:
-0 success/verified, 2 usage or parse error, 3 invalid field, 4 search
-budget exhausted or a search out of memory.  Without --cap both
-refinement searches run to completion; --cap N only stops a search that
-would pass level N (exit 1), and a result it lets through is exact.
+symbolically like "x^3 - 13*x + 4", with coefficients of any length.
+Output is byte-deterministic for a fixed input and format: JSON keys are
+sorted and big integers are printed as decimal strings.  `verify` sweeps
+--range lazily: in TSV it writes each row as it finishes, in JSON one
+document at the end.  Exit codes: 0 success/verified, 2 usage or parse
+error, 3 invalid field, 4 search budget exhausted or a search out of
+memory.  Without --cap both refinement searches run to completion;
+--cap N only stops a search that would pass level N (exit 1), and a
+result it lets through is exact.
 """
 
 from __future__ import annotations
@@ -342,6 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # coefficients of any size are in scope: parse and print them all
+        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         if args.cap is not None and args.cap < 1:

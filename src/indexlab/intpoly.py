@@ -203,13 +203,12 @@ def parse_poly(text: str) -> IntPoly:
         m = _TERM_RE.match(body)
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise ParseError(f"bad term {term!r} in {text!r}")
-        c = int(m.group("coeff")) if m.group("coeff") is not None else 1
-        if m.group("var") is None:
-            k = 0
-        elif m.group("exp") is None:
-            k = 1
-        else:
-            k = int(m.group("exp"))
+        try:
+            c = int(m.group("coeff")) if m.group("coeff") is not None else 1
+            k = 0 if m.group("var") is None else int(m.group("exp") or 1)
+        except ValueError as exc:
+            # only more digits than sys.get_int_max_str_digits() get here
+            raise ParseError(f"integer too long in {text!r}") from exc
         coeffs[k] = coeffs.get(k, 0) + sign * c
     degree = max((k for k, c in coeffs.items() if c), default=0)
     if degree > MAX_DEGREE:

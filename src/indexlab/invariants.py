@@ -19,12 +19,10 @@ cross-checked.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .arith import gcd_all, primes_upto
-from .errors import IndexLabError
 from .intpoly import IntPoly
 from .numberfield import (
     AlgebraicInt,
@@ -72,8 +70,8 @@ def good_element(field: NumberField, cap=None) -> AlgebraicInt:
 
     Certified refinement classes attaining each v_p are combined by CRT
     (they are stable under lifting, so a simultaneous representative
-    exists); the representative is then nudged by multiples of the combined
-    modulus until primitive.
+    exists).  With c that representative, M the combined modulus and theta
+    the generator, one of c + k*M*theta, k <= n(n-1)/2, is primitive.
     """
     n = field.degree
     witnesses = []
@@ -92,17 +90,25 @@ def good_element(field: NumberField, cap=None) -> AlgebraicInt:
         inv_m = pow(modulus, -1, q)
         coords = [c + modulus * ((w - c) * inv_m % q) for c, w in zip(coords, wcoords)]
         modulus *= q
-    for box in (1, 2, 3, 5):
-        # coordinate 0 varies fastest
-        for bump in map(reversed, itertools.product(range(box), repeat=n)):
-            cand = field.element(
-                [c + modulus * b for c, b in zip(coords, bump)]
-            )
-            if is_primitive(field, cand):
-                got = i_theta(field, cand)
-                assert got == i_k, "witness does not attain the invariant"
-                return cand
-    raise IndexLabError("could not find a primitive representative")
+    t = _primitive_lift(field, coords, modulus)
+    assert i_theta(field, t) == i_k, "witness does not attain the invariant"
+    return t
+
+
+def _primitive_lift(field: NumberField, coords, modulus: int) -> AlgebraicInt:
+    """The first primitive c + k*M*theta, k = 0, 1, ..., n(n-1)/2.
+
+    Each candidate is c mod M, as theta has integer coordinates.  Two of
+    its conjugates agree for at most one k, since theta's are distinct, so
+    one of these n(n-1)/2 + 1 candidates has n distinct conjugates.
+    """
+    n = field.degree
+    theta = field.generator().coords
+    for k in range(n * (n - 1) // 2 + 1):
+        t = field.element([c + k * modulus * x for c, x in zip(coords, theta)])
+        if is_primitive(field, t):
+            return t
+    raise AssertionError("no primitive c + k*M*theta below the proven bound")
 
 
 @dataclass

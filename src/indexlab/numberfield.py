@@ -263,22 +263,22 @@ def _alg_mul_mod_p(u, v, table, p):
     return [x % p for x in _mul(u, v, table)]
 
 
+def _alg_pow(u, e, table, p):
+    """u^e (e >= 0) in the algebra with this times table mod p."""
+    acc = _unit(len(u), 0)
+    while e:
+        if e & 1:
+            acc = _alg_mul_mod_p(acc, u, table, p)
+        u = _alg_mul_mod_p(u, u, table, p)
+        e >>= 1
+    return acc
+
+
 def _power_matrix(table, e, p, n):
     """Matrix (rows) of x -> x^e on the algebra with this times table mod p.
 
     It is F_p-linear when e is a power of p."""
-    rows = []
-    for i in range(n):
-        acc = _unit(n, 0)
-        base = _unit(n, i)
-        k = e
-        while k:
-            if k & 1:
-                acc = _alg_mul_mod_p(acc, base, table, p)
-            base = _alg_mul_mod_p(base, base, table, p)
-            k >>= 1
-        rows.append(acc)
-    return rows
+    return [_alg_pow(_unit(n, i), e, table, p) for i in range(n)]
 
 
 def _stable_exponent(p, n):
@@ -347,14 +347,24 @@ def _p_maximalize(order, p):
 
 
 def dedekind_test(f, p: int) -> bool:
-    """True iff the equation order Z[x]/(f) is p-maximal (Dedekind criterion)."""
+    """True iff the equation order Z[x]/(f) is p-maximal (Dedekind criterion).
+
+    With monic lifts g of rad(f mod p) and h of (f mod p)/g, and
+    T = (g*h - f)/p, it is p-maximal iff T, g, h are coprime mod p (Cohen,
+    GTM 138, ch. 6).  The squarefree decomposition f = prod s_e^e mod p
+    gives g = prod s_e and h = prod s_e^(e-1) without factoring further;
+    lifts g + p*a, h + p*b change T mod p by a*h + b*g, so any lifts do.
+    """
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_sqf_list
+
     f = as_poly(f)
     check_prime(p)
-    fac = factor_mod_p(f, p)
+    _, parts = gf_sqf_list(ZZ.map(ModPoly.from_intpoly(f, p).coeffs[::-1]), p, ZZ)
     g_star = IntPoly([1])
     h_star = IntPoly([1])
-    for g, e in fac.factors:
-        lift = IntPoly(g.coeffs)
+    for g, e in parts:
+        lift = IntPoly(g[::-1])
         g_star = g_star * lift
         h_star = h_star * lift ** (e - 1)
     diff = g_star * h_star - f
@@ -585,19 +595,6 @@ def _split_via_poly(field: NumberField, p: int) -> SplittingType:
     return SplittingType((e, g.degree) for g, e in fac.factors)
 
 
-def _minpoly_mod_p(u, table, p) -> ModPoly:
-    """Min poly of u in the algebra with this times table mod p."""
-    vecs = [_unit(len(u), 0)]
-    x = u
-    while True:
-        # vecs are independent, so a relation has x's coefficient 1
-        relation = _left_nullspace_mod_p(vecs + [x], p)
-        if relation:
-            return ModPoly(p, relation[0])
-        vecs.append(x)
-        x = _alg_mul_mod_p(x, u, table, p)
-
-
 def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
     """Read the splitting type of p off Frobenius on A = O/pO.
 
@@ -614,11 +611,11 @@ def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
       j nilpotent: x^(p^k) = t^(p^k), since the radical's n-th power is 0
       and p^k >= n, and Frobenius is bijective on T_i.  So E_i * Im Phi^k
       has rank f_i, and E_i * A has rank e_i*f_i.
-    * A vector v of the fixed space is constant in F_p on each component,
-      so its min poly divides x^p - x and its roots are among 0..p-1.  For a
-      root c, the product over the other roots c' of (v - c')/(c - c') is
-      the sum of the E_i on which v equals c.  Refining by every vector of
-      a basis of the fixed space separates all the components.
+    * A vector v of the fixed space is a constant of F_p on each component.
+      For c in F_p, v - c is 0 on the components where v equals c and a
+      unit on the others, so by Fermat 1 - (v - c)^(p-1) is the sum of the
+      E_i on which v equals c.  Refining by every vector of a basis of the
+      fixed space separates all the components.
     """
     n = field.degree
     table = _mod_table(field.times_table, p)
@@ -631,16 +628,8 @@ def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
     fix = [[(phi[a][b] - (1 if a == b else 0)) % p for b in range(n)] for a in range(n)]
     idempotents = [one]
     for v in _left_nullspace_mod_p(fix, p):
-        mp = _minpoly_mod_p(v, table, p)
-        roots = [c for c in range(p) if mp(c) == 0]
-        parts = []
-        for c in roots:
-            part = one
-            for c2 in roots:
-                if c2 != c:
-                    inv = pow(c - c2, -1, p)
-                    part = mul(part, [(x - c2 * o) * inv for x, o in zip(v, one)])
-            parts.append(part)
+        powers = (_alg_pow([v[0] - c] + v[1:], p - 1, table, p) for c in range(p))
+        parts = [[o - x for o, x in zip(one, y)] for y in powers]
         products = (mul(e, part) for e in idempotents for part in parts)
         idempotents = [e for e in products if any(e)]
 

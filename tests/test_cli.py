@@ -232,6 +232,16 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spelling", ["symbolic", "list"])
+def test_coefficient_past_the_int_str_limit_reaches_the_field_check(capsys, spelling):
+    # both polynomials are non-monic, so a parsed one is an invalid field
+    huge = "1" + "0" * 5000
+    poly = {"symbolic": f"2*x^2 + {huge}", "list": f"[{huge},0,2]"}[spelling]
+    code, out, err = run_cli(capsys, ["invariants", poly])
+    assert code == 3 and out == ""
+    assert err.startswith("invalid field: ") and err.count("\n") == 1
+
+
 def test_invariants_parses_primes_before_building_the_field(capsys, monkeypatch):
     def build_field(f):
         raise AssertionError("the field was built before --primes was parsed")

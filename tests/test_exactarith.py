@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -286,6 +287,25 @@ def test_parse_errors():
     for bad in ("", "x^", "x +", "[1, 2", "y^2", "x^-2", "3..5"):
         with pytest.raises(ParseError):
             parse_poly(bad)
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """Python's default limit on int <-> str digits, restored afterwards
+    (`cli.main` lifts it for the whole process)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python does not limit int <-> str conversion")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_parse_integer_past_the_str_limit_is_a_parse_error(default_int_str_limit):
+    huge = "1" + "0" * 5000
+    for text in (f"2*x^2 + {huge}", f"{huge}*x + 1", f"x^{huge}", f"[{huge},0,2]"):
+        with pytest.raises(ParseError):
+            parse_poly(text)
 
 
 def test_str_roundtrip():

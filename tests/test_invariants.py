@@ -3,13 +3,15 @@
 import functools
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
 
-from indexlab import cli, invariants
+from indexlab import cli, invariants, modpoly
 from indexlab.arith import gcd_all, primes_upto, valuation, vp_factorial
 from indexlab.errors import RefinementCapExceeded
+from indexlab.families import family_polynomial
 from indexlab.intpoly import IntPoly, parse_poly
 from indexlab.invariants import (
     full_report,
@@ -154,6 +156,57 @@ def test_good_element_examples_and_properties():
         w = r.witness
         assert is_primitive(K, w)
         assert i_theta(K, w) == r.i_K
+
+
+@pytest.mark.parametrize("start", ["zero", "subfield"])
+def test_primitive_lift_from_a_non_primitive_class(start):
+    K = build_field(family_polynomial("simplest_sextic", 1))
+    n, modulus = K.degree, 12
+    if start == "zero":
+        c = [0] * n
+    else:
+        # theta + sigma^3(theta), with sigma(x) = (x - 1)/(x + 2) the
+        # generator of the cyclic Galois group, lies in the cubic subfield
+        c = [-62, -64, 18, 88, 48, -32]
+        assert char_poly(K, K.element(c)) == parse_poly("x^3 - 2*x^2 - 16*x - 8") ** 2
+    assert not is_primitive(K, K.element(c))
+    t = invariants._primitive_lift(K, c, modulus)
+    assert is_primitive(K, t)
+    step = [a - b for a, b in zip(t.coords, c)]
+    assert all(x % modulus == 0 for x in step)
+    # t = c + k*M*theta with k <= n(n-1)/2
+    theta = K.generator().coords
+    k = step[1] // (modulus * theta[1])
+    assert step == [k * modulus * x for x in theta]
+    assert 1 <= k <= n * (n - 1) // 2
+
+
+def test_f_mod_p_is_factored_at_most_once_per_field(monkeypatch):
+    real = modpoly.factor_mod_p
+    calls = []
+
+    def recording(f, p):
+        calls.append((getattr(f, "coeffs", f), p))
+        return real(f, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("indexlab") and getattr(module, "factor_mod_p", None) is real:
+            monkeypatch.setattr(module, "factor_mod_p", recording)
+    rng = random.Random(20261019)
+    sextics = (family_polynomial("simplest_sextic", m) for m in range(1, 25))
+    polys = [f for f in sextics if is_irreducible(f)]
+    while len(polys) < 100:
+        f = IntPoly([rng.randint(-300, 300), rng.randint(-300, 300), 0, 1])
+        if is_irreducible(f):
+            polys.append(f)
+    repeated, total = [], 0
+    for f in polys:
+        calls.clear()
+        full_report(build_field(f))
+        total += len(calls)
+        repeated += [(f, p) for (_, p), k in Counter(calls).items() if k > 1]
+    assert total > 100
+    assert repeated == []
 
 
 def test_good_element_trivial_invariant_returns_generator():

@@ -8,6 +8,7 @@ relation disc(f) = index^2 * D_K pins it down exactly.
 
 import random
 import threading
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +17,7 @@ import pytest
 from indexlab.arith import INFINITY, primes_upto, valuation
 from indexlab.errors import DegreeOutOfScope, InvalidDegree, ReduciblePolynomial
 from indexlab.intpoly import IntPoly, as_poly, parse_poly, poly_discriminant
+from indexlab.modpoly import factor_mod_p
 from indexlab.numberfield import (
     SplittingType,
     _equation_order,
@@ -167,6 +169,28 @@ def test_dedekind_agrees_with_round2():
             continue
         for p in (2, 3, 5):
             assert dedekind_test(f, p) == (round2_gain(f, p) == 0)
+    # degrees 4-7: random draws, and f = g^p * h + p*r, whose reduction mod p
+    # has a factor of multiplicity >= p, so its squarefree decomposition
+    # takes the p-th root step
+    pth_powers = 0
+    checked = 0
+    while checked < 40:
+        n = rng.randint(4, 7)
+        p = rng.choice([q for q in (2, 3, 5, 7) if q <= n])
+        if checked % 2:
+            f = IntPoly([rng.randint(-9, 9) for _ in range(n)] + [1])
+        else:
+            d = rng.randint(1, n // p)
+            g = IntPoly([rng.randint(-3, 3) for _ in range(d)] + [1])
+            h = IntPoly([rng.randint(-3, 3) for _ in range(n - p * d)] + [1])
+            f = g**p * h + IntPoly([p * rng.randint(-3, 3) for _ in range(n)])
+        if not is_irreducible(f):
+            continue
+        pth_powers += any(e >= p for _, e in factor_mod_p(f, p).factors)
+        for q in (2, 3, 5, 7):
+            assert dedekind_test(f, q) == (round2_gain(f, q) == 0), (f, q)
+        checked += 1
+    assert pth_powers >= 20
 
 
 # -- splitting ---------------------------------------------------------------
@@ -286,6 +310,23 @@ def test_split_fast_and_general_paths_agree():
             if K.index_valuations.get(p, 0) == 0:
                 assert split_prime(K, p) == _split_via_algebra(K, p)
         checked += 1
+    # many splits: prod (x - r_i) + c*p^k at p = 5, 7, so the Frobenius-fixed
+    # vectors take several values in F_p and most c in F_p select a part
+    many = Counter()
+    while sum(many.values()) < 24:
+        p = rng.choice((5, 7))
+        f = IntPoly([1])
+        for _ in range(rng.randint(3, 7)):
+            f = f * IntPoly([-rng.randrange(p), 1])
+        f = f + IntPoly([rng.choice((-2, -1, 1, 2)) * p ** rng.randint(1, 3)])
+        if not is_irreducible(f):
+            continue
+        K = build_field(f)
+        if K.index_valuations.get(p, 0) == 0:
+            st = split_prime(K, p)
+            assert st == _split_via_algebra(K, p), (f, p)
+            many[st.num_primes] += 1
+    assert sum(n for primes, n in many.items() if primes >= 3) >= 12
 
 
 @pytest.mark.parametrize("q", [11, 13, 101])
