@@ -21,10 +21,6 @@ class InvalidPrime(InvalidInput):
     """A prime number was required."""
 
 
-class RankDeficient(IndexLabError):
-    """Matrix does not have full row rank."""
-
-
 class ZeroModP(InvalidInput):
     """Polynomial vanishes identically modulo p."""
 

@@ -1,15 +1,9 @@
-"""Exact integer matrices as row-lists: Hermite normal form, fraction-free
-determinants and lower-triangular solves.
-
-hnf_basis() puts the lattice spanned by some integer rows into row-style
-echelon form.  Order lattices elsewhere in the package are stored through
-hnf_lower(), the lower-triangular variant over ascending power-basis
-columns, which runs hnf_basis() on the column-reversed rows.
-"""
+"""Exact integer matrices as row-lists: products, fraction-free
+determinants and lower-triangular solves."""
 
 from __future__ import annotations
 
-from .errors import InvalidInput, RankDeficient
+from .errors import InvalidInput
 
 
 def mat_mul(a, b):
@@ -58,65 +52,6 @@ def det_rows(rows) -> int:
             row[k] = 0
         prev = pk
     return sign * m[n - 1][n - 1]
-
-
-def hnf_basis(rows) -> list[list[int]]:
-    """HNF basis (nonzero rows only) of the lattice generated by `rows`.
-
-    Row-style echelon form: pivots positive, their columns strictly
-    increasing, and the entries above each pivot reduced into [0, pivot).
-    """
-    h = [list(r) for r in rows]
-    nr = len(h)
-    nc = len(h[0])
-    row = 0
-    for col in range(nc):
-        # gather a single nonzero entry at (row, col) by Euclidean steps
-        pivot = None
-        while True:
-            live = [i for i in range(row, nr) if h[i][col]]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(h[i][col]))
-            if i0 != row:
-                h[row], h[i0] = h[i0], h[row]
-            done = True
-            for i in range(row + 1, nr):
-                if h[i][col]:
-                    q = h[i][col] // h[row][col]
-                    if q:
-                        h[i] = [a - q * b for a, b in zip(h[i], h[row])]
-                    if h[i][col]:
-                        done = False
-            if done:
-                pivot = h[row][col]
-                break
-        if pivot is None:
-            continue
-        if pivot < 0:
-            h[row] = [-a for a in h[row]]
-            pivot = -pivot
-        for i in range(row):
-            q = h[i][col] // pivot
-            if q:
-                h[i] = [a - q * b for a, b in zip(h[i], h[row])]
-        row += 1
-        if row == nr:
-            break
-    return h[:row]
-
-
-def hnf_lower(rows) -> list[list[int]]:
-    """Lower-triangular HNF (ascending-column pivots) of a full-rank square lattice.
-
-    Used for order bases over the power basis: row i then involves only
-    powers x^0..x^i, pivots positive, entries below each pivot reduced.
-    """
-    flipped = [list(reversed(r)) for r in rows]
-    h = hnf_basis(flipped)
-    if len(h) != len(rows[0]):
-        raise RankDeficient("lattice basis is not full rank")
-    return [list(reversed(r)) for r in reversed(h)]
 
 
 def solve_lower_triangular(rows, y):

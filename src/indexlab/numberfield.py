@@ -6,6 +6,8 @@ kernel, its ring of multipliers enlarges the order, and the loop repeats
 until stable.  The integral basis is stored as a lower-triangular HNF matrix
 over the power basis with one common denominator, so basis vector i only
 involves 1, theta, ..., theta^i and the first basis vector is always 1.
+No general HNF is needed: the equation order's basis is the identity, and
+each enlargement multiplies the basis by another triangular one.
 
 Elements carry integer coordinates over the integral basis.  The index of a
 primitive element t is |det| of the matrix expressing 1, t, ..., t^(n-1)
@@ -30,12 +32,7 @@ from .errors import (
     InvalidInput,
     ReduciblePolynomial,
 )
-from .intmatrix import (
-    det_rows,
-    hnf_lower,
-    mat_mul,
-    solve_lower_triangular,
-)
+from .intmatrix import det_rows, mat_mul, solve_lower_triangular
 from .intpoly import MAX_DEGREE, IntPoly, as_poly, poly_discriminant
 from .modpoly import ModPoly, factor_mod_p, gcd_mod
 
@@ -162,7 +159,14 @@ def _check_defining_poly(f) -> IntPoly:
 
 
 class _Order:
-    """Order in Q[x]/(f): lower-triangular HNF basis over the power basis."""
+    """Order in Q[x]/(f): lower-triangular HNF basis over the power basis.
+
+    `w_rows` is lower-triangular with a positive diagonal.  Past the
+    content, row i's entry in column j is reduced into [0, w[j][j]) for
+    j = i-1 down to 0; row j is 0 past column j, so no step undoes an
+    earlier one.  The lattice and the diagonal stay, so this is the
+    lattice's Hermite normal form, which is unique.
+    """
 
     __slots__ = ("poly", "n", "den", "w", "table")
 
@@ -174,9 +178,14 @@ class _Order:
             for x in row:
                 if x:
                     g = math.gcd(g, x)
-        w_rows = [[x // g for x in row] for row in w_rows]
+        w = [[x // g for x in row] for row in w_rows]
+        for i in range(self.n):
+            for j in range(i - 1, -1, -1):
+                q = w[i][j] // w[j][j]
+                if q:
+                    w[i] = [a - q * b for a, b in zip(w[i], w[j])]
         self.den = den // g
-        self.w = hnf_lower(w_rows)
+        self.w = w
         assert self.w[0][0] == self.den, "order must contain 1"
         self.table = self._times_table()
 
@@ -298,10 +307,20 @@ def _radical_mod_p(table, p, n):
 
 
 def _lattice_mod_p(vectors, p, n):
-    """Lower-triangular HNF basis of the lattice p*Z^n + span(vectors)."""
+    """Lower-triangular HNF basis of the lattice p*Z^n + span(vectors).
+
+    Reversed back, each row of the reduced echelon form mod p of the
+    reversed vectors ends in a 1 at its pivot i and is 0 at the other
+    pivots; it is row i, and p*e_i is row i where no row ends at i.  These
+    rows lie in the lattice and have its index p^(n - rank), so they span
+    it; with diagonal 1 or p and each entry below a diagonal d in [0, d),
+    they are its Hermite normal form, which is unique.
+    """
     rows = [[p if i == j else 0 for j in range(n)] for i in range(n)]
-    rows.extend([x % p for x in v] for v in vectors)
-    return hnf_lower(rows)
+    rref, pivots = _rref_mod_p([v[::-1] for v in vectors], p)
+    for row, c in zip(rref, pivots):
+        rows[n - 1 - c] = row[::-1]
+    return rows
 
 
 def _radical_rows(order, p):

@@ -16,7 +16,12 @@ from indexlab.arith import (
     valuation,
     vp_factorial,
 )
-from indexlab.families import cubic_predict, is_discrepancy, verify_family
+from indexlab.families import (
+    cubic_predict,
+    family_polynomial,
+    is_discrepancy,
+    verify_family,
+)
 from indexlab.intpoly import IntPoly, poly_discriminant
 from indexlab.invariants import full_report
 from indexlab.numberfield import (
@@ -27,6 +32,8 @@ from indexlab.numberfield import (
     split_prime,
 )
 from indexlab.search import search_prime_divisor_field
+
+from local_degrees import vp_i_from_splitting
 
 # every field measured by criteria 1-8 lands here:
 # dicts with degree, i_K, I_K, support_i, maccluer
@@ -202,6 +209,12 @@ def test_c07_simplest_sextic():
         m = row["m"]
         if ((m % 8 in (0, 5)) and m % 3 != 0) or (m % 24 in (0, 21)):
             alpha_set = {3, 4}
+            # the formula leaves alpha two-valued here; the local degrees at 2
+            # fix it.  2 is inert in the cubic subfield (the simplest cubic
+            # with the same m), so every local degree at 2 is 3 or 6 and
+            # alpha is in {0, 3}
+            K = build_field(family_polynomial("simplest_sextic", m))
+            assert row["alpha_measured"] == vp_i_from_splitting(split_prime(K, 2), 2), row
         else:
             alpha_set = {0}
         beta = 2 if m % 243 in (39, 120, 201) else 0

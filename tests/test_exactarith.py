@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: polynomials, resultants, HNF, valuations."""
+"""Exact integer arithmetic: polynomials, resultants, valuations, factorisation."""
 
 import itertools
 import math
@@ -8,14 +8,7 @@ import sys
 import pytest
 
 from indexlab.arith import INFINITY, factorint, gcd_all, is_prime, valuation, vp_factorial
-from indexlab.errors import (
-    InvalidDegree,
-    InvalidInput,
-    InvalidPrime,
-    ParseError,
-    RankDeficient,
-)
-from indexlab.intmatrix import det_rows, hnf_basis, hnf_lower, mat_mul
+from indexlab.errors import InvalidDegree, InvalidInput, InvalidPrime, ParseError
 from indexlab.intpoly import IntPoly, parse_poly, poly_discriminant, poly_resultant
 
 
@@ -196,57 +189,7 @@ def test_gcd_all():
     assert gcd_all([0, 0, 9]) == 9
 
 
-# -- HNF -------------------------------------------------------------------------
-
-
-def gram(rows):
-    """rows times its transpose."""
-    return mat_mul(rows, [list(c) for c in zip(*rows)])
-
-
-def test_hnf_examples():
-    assert hnf_basis([[2, 4], [0, 2]]) == [[2, 0], [0, 2]]
-    assert hnf_basis([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
-    assert hnf_basis([[0, 1], [1, 0]]) == [[1, 0], [0, 1]]
-    # zero rows drop out of the basis
-    assert hnf_basis([[2, 4], [1, 2], [0, 0]]) == [[1, 2]]
-    # lower-triangular variant: pivots ascend along the columns from the right
-    assert hnf_lower([[2, 0], [1, 1]]) == [[2, 0], [1, 1]]
-    assert hnf_lower([[1, 1], [0, 2]]) == [[2, 0], [1, 1]]
-
-
-def test_hnf_properties_random():
-    rng = random.Random(41)
-    for _ in range(200):
-        nr = rng.randint(1, 4)
-        nc = rng.randint(nr, 5)
-        m = [[rng.randint(-30, 30) for _ in range(nc)] for _ in range(nr)]
-        h = hnf_basis(m)
-        # echelon shape with positive pivots, reduced entries above each pivot
-        pivots = []
-        for row in h:
-            nz = [j for j, x in enumerate(row) if x]
-            assert nz
-            pivots.append(nz[0])
-        assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
-        for r, pc in enumerate(pivots):
-            piv = h[r][pc]
-            assert piv > 0
-            for i in range(r):
-                assert 0 <= h[i][pc] < piv
-        # every row of m lies in the lattice of h
-        assert hnf_basis(m + h) == h
-        # full row rank: equal Gram determinants, so the lattices are equal
-        if len(h) == nr:
-            assert det_rows(gram(m)) == det_rows(gram(h))
-        # idempotence
-        assert hnf_basis(h) == h
-
-
-def test_hnf_rank_deficient():
-    assert hnf_basis([[1, 2], [2, 4]]) == [[1, 2]]
-    with pytest.raises(RankDeficient):
-        hnf_lower([[1, 2], [2, 4]])
+# -- factorisation ---------------------------------------------------------------
 
 
 def test_factorint_exact_with_ascending_int_keys():

@@ -22,6 +22,7 @@ from indexlab.invariants import (
     vp_iK,
 )
 from indexlab.numberfield import (
+    SplittingType,
     build_field,
     char_poly,
     index_of,
@@ -29,6 +30,8 @@ from indexlab.numberfield import (
     is_primitive,
     split_prime,
 )
+
+from local_degrees import g_p, vp_i_from_splitting
 
 DEDEKIND = "x^3 - x^2 - 2*x - 8"
 
@@ -309,3 +312,48 @@ def test_hensel_criterion_decides_common_index_divisors():
             assert hensel_divides_I(split_prime(K, p), p) == I_divisible, (f, p)
             divides.append(I_divisible)
     assert len(divides) > 300 and sum(divides) >= 20
+
+
+def test_local_degree_oracle_known_cases():
+    # fewer than p primes: 0; all local degrees 1: v_p(n!)
+    assert g_p(3, [1, 1]) == 0 and g_p(2, [4]) == 0
+    for n in range(1, 8):
+        for p in primes_upto(n):
+            assert g_p(p, [1] * n) == vp_factorial(n, p)
+    assert g_p(2, [3, 3]) == 3
+    assert vp_i_from_splitting(SplittingType([(1, 1), (1, 2)]), 2) == 1
+
+
+def test_vp_iK_matches_the_local_degree_oracle():
+    """v_p(i(K)) = g_p of the local degrees, on 100 seeded fields: half
+    random, half prod(x - r) + c*q^k, which split into many primes at q."""
+    rng = random.Random(20261019)
+    pairs = 0
+    types = set()
+    positive = set()
+    fields = 0
+    while fields < 100:
+        n = rng.randint(2, 7)
+        if fields % 2:
+            f = IntPoly([rng.randint(-12, 12) for _ in range(n)] + [1])
+        else:
+            q = primes_upto(n)[fields // 2 % len(primes_upto(n))]
+            f = IntPoly([1])
+            for r in rng.sample(range(-6, 7), n):
+                f = f * IntPoly([-r, 1])
+            f = f + IntPoly([rng.choice((1, -1)) * q ** rng.randint(1, 4)])
+        if f[0] == 0 or not is_irreducible(f):
+            continue
+        K = build_field(f)
+        fields += 1
+        for p in primes_upto(n):
+            st = split_prime(K, p)
+            v = vp_i_from_splitting(st, p)
+            assert vp_iK(K, p) == v, (f, p, st)
+            pairs += 1
+            types.add((n, p, st))
+            if v:
+                positive.add((n, p, st))
+    print(f"{pairs} (field, p) pairs, {len(types)} distinct (n, p, type), "
+          f"{len(positive)} of them with v_p(i) > 0")
+    assert len(types) >= 80 and len(positive) >= 30

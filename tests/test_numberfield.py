@@ -16,11 +16,13 @@ import pytest
 
 from indexlab.arith import INFINITY, primes_upto, valuation
 from indexlab.errors import DegreeOutOfScope, InvalidDegree, ReduciblePolynomial
+from indexlab.intmatrix import solve_lower_triangular
 from indexlab.intpoly import IntPoly, as_poly, parse_poly, poly_discriminant
 from indexlab.modpoly import factor_mod_p
 from indexlab.numberfield import (
     SplittingType,
     _equation_order,
+    _lattice_mod_p,
     _p_maximalize,
     _split_via_algebra,
     build_field,
@@ -191,6 +193,133 @@ def test_dedekind_agrees_with_round2():
             assert dedekind_test(f, q) == (round2_gain(f, q) == 0), (f, q)
         checked += 1
     assert pth_powers >= 20
+
+
+# -- order bases -------------------------------------------------------------
+
+
+def assert_lower_hnf(rows):
+    """Lower-triangular, positive diagonal, each entry below a diagonal
+    entry d in [0, d): the Hermite normal form that every order basis and
+    every lattice between p*Z^n and Z^n is stored in."""
+    n = len(rows)
+    for i, row in enumerate(rows):
+        assert len(row) == n and row[i] > 0 and not any(row[i + 1 :]), rows
+        for j in range(i):
+            assert 0 <= row[j] < rows[j][j], rows
+
+
+def rank_mod_p(rows, p, n):
+    """Oracle: rank over GF(p) by sympy's DomainMatrix."""
+    from sympy.polys.domains import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    k = GF(p)
+    return DomainMatrix([[k(x) for x in r] for r in rows], (len(rows), n), k).rank()
+
+
+def test_lattice_mod_p_is_the_hnf_of_p_zn_plus_the_span():
+    rng = random.Random(97)
+    full_rank = 0
+    for case in range(240):
+        p = (2, 3, 5, 7)[case % 4]
+        n = rng.randint(1, 7)
+        count = 0 if case < 8 else rng.randint(1, n + 2)
+        vectors = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(count)]
+        if vectors and case % 3 == 0:
+            # a combination of the others, so rank < count
+            c = rng.randint(1, p - 1)
+            vectors.append([c * x + p * rng.randint(-2, 2) for x in vectors[0]])
+        rows = _lattice_mod_p(vectors, p, n)
+        assert_lower_hnf(rows)
+        rank = rank_mod_p(vectors, p, n)
+        full_rank += rank == n
+        assert all(rows[i][i] in (1, p) for i in range(n))
+        assert sum(rows[i][i] == 1 for i in range(n)) == rank
+        # the lattice lies in the rows' span ...
+        for v in vectors + [[p if j == i else 0 for j in range(n)] for i in range(n)]:
+            assert solve_lower_triangular(rows, v) is not None, (vectors, p, v)
+        # ... and the rows lie in the lattice
+        for row in rows:
+            assert rank_mod_p(vectors + [row], p, n) == rank, (vectors, p, row)
+    assert full_rank >= 20
+
+
+def test_round2_orders_are_in_hermite_normal_form():
+    rng = random.Random(101)
+    gains = 0
+    for case in range(60):
+        n = rng.randint(2, 7)
+        if case % 2:
+            f = IntPoly([rng.randint(-30, 30) for _ in range(n)] + [1])
+        else:
+            q = rng.choice([r for r in (2, 3, 5, 7) if r <= n])
+            f = IntPoly([1])
+            for r in rng.sample(range(-4, 5), n):
+                f = f * IntPoly([-r, 1])
+            f = f + IntPoly([rng.choice((1, -1)) * q ** rng.randint(1, 5)])
+        if not is_irreducible(f):
+            continue
+        disc = poly_discriminant(f)
+        for p in primes_upto(7):
+            if disc % (p * p):
+                continue
+            order, gain = _p_maximalize(_equation_order(f), p)
+            gains += gain > 0
+            assert_lower_hnf(order.w)
+            assert order.w[0][0] == order.den
+    assert gains >= 20
+
+
+# basis_rows and den of fields with a Round-2 gain, degrees 3 to 7, as the
+# general integer HNF gave them before order bases were reduced in place
+PINNED_BASES = [
+    ("x^3 - x^2 - 2*x - 8", 2, [[2, 0, 0], [0, 2, 0], [0, 1, 1]]),
+    ("[1,5,-6,-5,1]", 2, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [1, 0, 0, 1]]),
+    (
+        "x^5 - 10*x^3 + 5*x^2 + 10*x + 1",
+        7,
+        [[7, 0, 0, 0, 0], [0, 7, 0, 0, 0], [0, 0, 7, 0, 0], [0, 0, 0, 7, 0], [2, 2, 6, 3, 1]],
+    ),
+    (
+        "[32,24,-50,35,-10,1]",
+        8,
+        [[8, 0, 0, 0, 0], [0, 8, 0, 0, 0], [0, 4, 4, 0, 0], [0, 4, 0, 4, 0], [0, 2, 3, 2, 1]],
+    ),
+    (
+        "[1,22,40,-20,-55,-16,1]",
+        18,
+        [
+            [18, 0, 0, 0, 0, 0],
+            [0, 18, 0, 0, 0, 0],
+            [0, 0, 18, 0, 0, 0],
+            [9, 0, 9, 9, 0, 0],
+            [12, 9, 0, 3, 3, 0],
+            [5, 13, 0, 8, 0, 1],
+        ],
+    ),
+    (
+        "[144,720,-1764,1624,-735,175,-21,1]",
+        72,
+        [
+            [72, 0, 0, 0, 0, 0, 0],
+            [0, 72, 0, 0, 0, 0, 0],
+            [0, 36, 36, 0, 0, 0, 0],
+            [0, 36, 0, 36, 0, 0, 0],
+            [0, 36, 30, 0, 6, 0, 0],
+            [0, 36, 0, 30, 0, 6, 0],
+            [0, 0, 18, 23, 5, 1, 1],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("poly, den, rows", PINNED_BASES, ids=[c[0] for c in PINNED_BASES])
+def test_pinned_integral_bases(poly, den, rows):
+    K = build_field(poly)
+    assert K.index_valuations
+    assert K.den == den
+    assert K.basis_rows == tuple(tuple(r) for r in rows)
 
 
 # -- splitting ---------------------------------------------------------------
