@@ -10,11 +10,9 @@ symbolically like "x^3 - 13*x + 4", with coefficients of any length.
 Output is byte-deterministic for a fixed input and format: JSON keys are
 sorted and big integers are printed as decimal strings.  `verify` sweeps
 --range lazily: in TSV it writes each row as it finishes, in JSON one
-document at the end.  Exit codes: 0 success/verified, 2 usage or parse
-error, 3 invalid field, 4 search budget exhausted or a search out of
-memory.  Without --cap both refinement searches run to completion;
---cap N only stops a search that would pass level N (exit 1), and a
-result it lets through is exact.
+document at the end.  Exit codes: 0 success/verified, 1 a `verify`
+discrepancy or any other library error, 2 usage or parse error, 3 invalid
+field, 4 search budget exhausted or a search out of memory.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from .arith import is_prime, primes_upto
 from .errors import (
     DegreeOutOfScope,
     IndexLabError,
-    InvalidDegree,
     InvalidInput,
     NotAField,
     ParseError,
@@ -172,7 +169,7 @@ def cmd_invariants(args) -> int:
     # a bad --primes list is refused before any field work
     chosen = _parse_primes(args.primes) if args.primes else None
     field = build_field(parse_poly(args.poly))
-    report = full_report(field, args.cap)
+    report = full_report(field)
     primes = chosen or primes_upto(field.degree)
     if args.format == "json":
         sys.stdout.write(_dump_json(_report_to_json(report, primes)))
@@ -183,7 +180,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify(args) -> int:
     # a bad --range or family name is refused before anything is written
-    rows = verify_family(args.family, _parse_range(args.range), cap=args.cap)
+    rows = verify_family(args.family, _parse_range(args.range))
     tsv = args.format == "tsv"
     if tsv:
         sys.stdout.write(_VERIFY_HEADER)
@@ -229,9 +226,7 @@ def cmd_search_t1(args) -> int:
         raise UsageError(f"--prime: {args.prime} exceeds the degree {args.degree}")
     if args.budget < 0:
         raise UsageError(f"--budget: the candidate budget must be at least 0, got {args.budget}")
-    result = search_prime_divisor_field(
-        args.degree, args.prime, budget=args.budget, cap=args.cap
-    )
+    result = search_prime_divisor_field(args.degree, args.prime, budget=args.budget)
     if args.format == "json":
         payload = {
             "degree": args.degree,
@@ -262,8 +257,8 @@ def cmd_compare(args) -> int:
     k2 = build_field(f2)
     s1 = split_prime(k1, p)
     s2 = split_prime(k2, p)
-    v1 = (vp_iK(k1, p, args.cap), vp_IK(k1, p, args.cap))
-    v2 = (vp_iK(k2, p, args.cap), vp_IK(k2, p, args.cap))
+    v1 = (vp_iK(k1, p), vp_IK(k1, p))
+    v2 = (vp_iK(k2, p), vp_IK(k2, p))
     same = s1 == s2
     # a pair with equal splitting types but different v_p(I) shows the
     # splitting type alone cannot determine the index valuation
@@ -297,23 +292,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact index invariants i(K) and I(K) of number fields of degree <= 7.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument(
-        "--cap",
-        type=int,
-        metavar="N",
-        help="stop a refinement search that would pass level N (exit 1)",
-    )
-
-    p_inv = sub.add_parser("invariants", parents=[cap], help="full invariant report for one field")
+    p_inv = sub.add_parser("invariants", help="full invariant report for one field")
     p_inv.add_argument("poly")
     p_inv.add_argument("--format", choices=("json", "tsv"), default="json")
     p_inv.add_argument("--primes", default="", help="comma list, e.g. 2,3,5")
     p_inv.set_defaults(func=cmd_invariants)
 
-    p_ver = sub.add_parser(
-        "verify", parents=[cap], help="sweep a family formula against the engine"
-    )
+    p_ver = sub.add_parser("verify", help="sweep a family formula against the engine")
     p_ver.add_argument("family")
     p_ver.add_argument(
         "--range",
@@ -323,16 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--format", choices=("json", "tsv"), default="tsv")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_t1 = sub.add_parser("search-t1", parents=[cap], help="find a degree-n field with p | i(K)")
+    p_t1 = sub.add_parser("search-t1", help="find a degree-n field with p | i(K)")
     p_t1.add_argument("--degree", type=int, required=True)
     p_t1.add_argument("--prime", type=int, required=True)
     p_t1.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_t1.add_argument("--format", choices=("json", "tsv"), default="json")
     p_t1.set_defaults(func=cmd_search_t1)
 
-    p_cmp = sub.add_parser(
-        "compare", parents=[cap], help="splitting-type comparator for two fields"
-    )
+    p_cmp = sub.add_parser("compare", help="splitting-type comparator for two fields")
     p_cmp.add_argument("poly1")
     p_cmp.add_argument("poly2")
     p_cmp.add_argument("--prime", type=int, required=True)
@@ -348,8 +331,6 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
-        if args.cap is not None and args.cap < 1:
-            raise UsageError(f"--cap: the level cap must be at least 1, got {args.cap}")
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
@@ -360,7 +341,7 @@ def main(argv=None) -> int:
     except UnknownFamily as exc:
         sys.stderr.write(f"{exc}\n")
         return USAGE_ERROR
-    except (ReduciblePolynomial, NotAField, DegreeOutOfScope, InvalidDegree, InvalidInput) as exc:
+    except (ReduciblePolynomial, NotAField, DegreeOutOfScope, InvalidInput) as exc:
         sys.stderr.write(f"invalid field: {exc}\n")
         return FIELD_ERROR
     except SearchBudgetExhausted as exc:

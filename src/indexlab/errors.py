@@ -33,11 +33,6 @@ class DegreeOutOfScope(IndexLabError):
     """Field degree above the supported bound (7)."""
 
 
-class RefinementCapExceeded(IndexLabError):
-    """Residue refinement would pass the level cap it was given.  Without a
-    cap the searches run to completion, so this only stops a run early."""
-
-
 class NotAField(IndexLabError):
     """Parameters do not define a number field of the expected shape."""
 

@@ -6,10 +6,8 @@ Every predictor is a pure function of the parameter: it returns the
 predicted pair (I, i), or raises NotApplicable or NotAField when the
 formula does not apply; the verifier builds the actual field, runs the
 exact invariant computation, and yields one row per parameter, in the
-order the parameters are given.  A parameter whose search a level cap
-stops gets no verdict: its row keeps applicable = True, has pass = None
-and the cap message as its reason, and counts as a discrepancy
-(`is_discrepancy`).  A sweep with a discrepancy failed.
+order the parameters are given.  A sweep with a discrepancy
+(`is_discrepancy`) failed.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from .errors import (
     NotApplicable,
     NotReduced,
     ReduciblePolynomial,
-    RefinementCapExceeded,
     UnknownFamily,
 )
 from .intpoly import IntPoly
@@ -253,7 +250,7 @@ def predict(family: str, m: int) -> FamilyPrediction:
 # -- differential verification --------------------------------------------------
 
 
-def verify_one(family: str, m: int, cap: int | None = None) -> dict:
+def verify_one(family: str, m: int) -> dict:
     """Predict, build, measure, and compare for a single parameter."""
     row = {
         "family": family,
@@ -282,12 +279,7 @@ def verify_one(family: str, m: int, cap: int | None = None) -> dict:
         row["applicable"] = False
         row["reason"] = "reducible defining polynomial"
         return row
-    try:
-        report = full_report(field, cap)
-    except RefinementCapExceeded as exc:
-        # still applicable with no verdict, so it counts as a discrepancy
-        row["reason"] = str(exc)
-        return row
+    report = full_report(field)
     row["I_exact"] = report.I_K
     row["i_exact"] = report.i_K
     row["pass"] = (pred.I_pred is None or pred.I_pred == report.I_K) and (
@@ -302,16 +294,15 @@ def verify_one(family: str, m: int, cap: int | None = None) -> dict:
 
 
 def is_discrepancy(row: dict) -> bool:
-    """True for an applicable row without a passing verdict: a mismatch, or
-    a search a level cap stopped."""
+    """True for an applicable row whose prediction the engine refutes."""
     return row["applicable"] and not row["pass"]
 
 
-def verify_family(family: str, params, cap: int | None = None) -> Iterator[dict]:
+def verify_family(family: str, params) -> Iterator[dict]:
     """Sweep the parameters, comparing predictions against the exact engine.
 
     An unknown family name fails at once; the rows are then computed one
     at a time, in the order the parameters are given.
     """
     _family(family)
-    return (verify_one(family, m, cap) for m in params)
+    return (verify_one(family, m) for m in params)

@@ -41,19 +41,18 @@ def i_theta(field: NumberField, t: AlgebraicInt) -> int:
     return gcd_all(f(x) for x in range(field.degree + 1))
 
 
-def _cached(search, field: NumberField, p: int, cap):
-    # a result that a cap lets through is exact, so it is memoised as well
-    return field.memo((search.__name__, p), lambda: search(field, p, cap=cap))
+def _cached(search, field: NumberField, p: int):
+    return field.memo((search.__name__, p), lambda: search(field, p))
 
 
-def vp_iK(field: NumberField, p: int, cap=None) -> int:
+def vp_iK(field: NumberField, p: int) -> int:
     """Exact max over primitive t of v_p(i(t)); 0 immediately for p > degree."""
-    return _cached(max_i_valuation, field, p, cap)[0]
+    return _cached(max_i_valuation, field, p)[0]
 
 
-def vp_IK(field: NumberField, p: int, cap=None) -> int:
+def vp_IK(field: NumberField, p: int) -> int:
     """Exact min over primitive t of v_p(index of t); 0 for p > degree."""
-    return _cached(min_index_valuation, field, p, cap)
+    return _cached(min_index_valuation, field, p)
 
 
 def maccluer_support(field: NumberField) -> frozenset[int]:
@@ -65,7 +64,7 @@ def maccluer_support(field: NumberField) -> frozenset[int]:
     )
 
 
-def good_element(field: NumberField, cap=None) -> AlgebraicInt:
+def good_element(field: NumberField) -> AlgebraicInt:
     """A primitive t whose value-gcd i(t) attains the field invariant i(K).
 
     Certified refinement classes attaining each v_p are combined by CRT
@@ -77,7 +76,7 @@ def good_element(field: NumberField, cap=None) -> AlgebraicInt:
     witnesses = []
     i_k = 1
     for p in primes_upto(n):
-        val, wit = _cached(max_i_valuation, field, p, cap)
+        val, wit = _cached(max_i_valuation, field, p)
         if val > 0:
             witnesses.append((p, wit))
             i_k *= p**val
@@ -133,24 +132,23 @@ class InvariantReport:
         return frozenset(p for p, (_, vI) in self.valuations.items() if vI > 0)
 
 
-def full_report(field: NumberField, cap=None) -> InvariantReport:
+def full_report(field: NumberField) -> InvariantReport:
     """Assemble splittings, i(K), I(K), valuations, and a good element.
 
     i(K) and I(K) are products over all primes p <= n of the refinement
     valuations; the report also carries the splitting-based support so the
     two characterizations can be compared independently.  The report is
-    memoised per field; a cap only stops a search early, so every report
-    that is returned is exact.
+    memoised per field.
     """
-    return field.memo("report", lambda: _build_report(field, cap))
+    return field.memo("report", lambda: _build_report(field))
 
 
-def _build_report(field: NumberField, cap) -> InvariantReport:
+def _build_report(field: NumberField) -> InvariantReport:
     n = field.degree
     primes = primes_upto(n)
     splittings = {p: split_prime(field, p) for p in primes}
-    valuations = {p: (vp_iK(field, p, cap), vp_IK(field, p, cap)) for p in primes}
-    witness = good_element(field, cap)
+    valuations = {p: (vp_iK(field, p), vp_IK(field, p)) for p in primes}
+    witness = good_element(field)
     return InvariantReport(
         poly=field.poly,
         degree=n,

@@ -96,12 +96,6 @@ class ModPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __call__(self, x: int) -> int:
-        v = 0
-        for c in reversed(self.coeffs):
-            v = (v * x + c) % self.p
-        return v
-
     def monic(self) -> "ModPoly":
         if self.is_zero or self.lc == 1:
             return self

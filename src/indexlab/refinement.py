@@ -66,20 +66,8 @@ by level c + 1.  Certified classes have nonzero determinant, hence consist
 of primitive elements; undecided classes never contribute a value, so the
 result is the exact minimum over primitive elements.
 
-So neither search needs a level cap to stop: with cap=None it runs to
-completion.  A cap only stops a search early, by raising
-RefinementCapExceeded where it would otherwise build level cap + 1 (or
-level 1, for a cap below 1), so a result that a cap lets through is the
-exact one.  A cap never binds once it reaches the level where the search
-stops by itself:
-
-* The i search, at a cap >= v_p(n!), and v_p(n!) >= 1 for p <= n.  The
-  loop returns at m = v_p(n!) before its cap test, so that test only runs
-  with m < v_p(n!) <= cap, and the test before level 1 sees a cap >= 1.
-* The index search, at a cap >= best0, where best0 >= 1 is the generator's
-  valuation (at best0 = 0 it returns before any cap test).  The loop
-  breaks at best == 0 or m >= best before its cap test, and best <= best0,
-  so that test only runs with m < best0 <= cap.
+Neither search needs a level bound to stop; a level too large for memory
+raises MemoryError, which the CLI reports with exit 4.
 
 Both searches evaluate a level with one routine, _profile, in vectorized
 batches of at most _CHUNK classes, with a max/min reduction at the level
@@ -125,7 +113,6 @@ import functools
 import numpy as np
 
 from .arith import check_prime, vp_factorial
-from .errors import RefinementCapExceeded
 from .numberfield import _mod_table
 
 _INT32_SAFE_MOD = 1 << 14
@@ -285,27 +272,15 @@ def _profile(field, p: int, m: int, classes, values):
     return out
 
 
-def _check_cap(search: str, cap: int | None, m: int, p: int, undecided: int, best=None):
-    """Raise RefinementCapExceeded if building level m + 1 (m = 0 before
-    level 1) passes the cap, with `undecided` classes left at level m."""
-    if cap is not None and m >= cap:
-        so_far = "" if best is None else f", best so far {best}"
-        raise RefinementCapExceeded(
-            f"{search} refinement passed level {cap} at p={p} "
-            f"({undecided} classes undecided{so_far})"
-        )
-
-
 # -- public searches -----------------------------------------------------------
 
 
-def max_i_valuation(field, p: int, cap: int | None = None):
+def max_i_valuation(field, p: int):
     """(max over primitive t of v_p(gcd of char-poly values), witness class).
 
     The witness is (level m, coordinate tuple mod p^m): every lift of that
     class attains the maximum.  Returns (0, None) for p > degree.  The
-    search stops by itself by level v_p(n!); a cap only stops it earlier,
-    with RefinementCapExceeded (see the module docstring).
+    search stops by itself by level v_p(n!) (see the module docstring).
     """
     check_prime(p)
     n = field.degree
@@ -315,7 +290,6 @@ def max_i_valuation(field, p: int, cap: int | None = None):
     best = 0
     witness = None
     classes = _all_classes(p, n)
-    _check_cap("value-gcd", cap, 0, p, len(classes))
     m = 1
     while True:
         if m < bound:
@@ -340,16 +314,15 @@ def max_i_valuation(field, p: int, cap: int | None = None):
         survivors = classes[~certified]
         if not len(survivors):
             return best, witness
-        _check_cap("value-gcd", cap, m, p, len(survivors))
         classes = _children(survivors, p, m)
         m += 1
 
 
-def min_index_valuation(field, p: int, cap: int | None = None) -> int:
+def min_index_valuation(field, p: int) -> int:
     """Min over primitive t of v_p([A : Z[t]]); 0 for p > degree.
 
-    The search stops by itself by level v_p([A : Z[theta]]); a cap only
-    stops it earlier, with RefinementCapExceeded (see the module docstring).
+    The search stops by itself by level v_p([A : Z[theta]]) (see the module
+    docstring).
     """
     check_prime(p)
     n = field.degree
@@ -359,7 +332,6 @@ def min_index_valuation(field, p: int, cap: int | None = None) -> int:
     if best == 0:
         return 0
     classes = _all_classes(p, n)
-    _check_cap("index", cap, 0, p, len(classes), best)
     m = 1
     while len(classes):
         profile = _profile(field, p, m, classes, _index_dets)
@@ -372,7 +344,6 @@ def min_index_valuation(field, p: int, cap: int | None = None) -> int:
         if not len(survivors) or m >= best:
             # survivors carry valuation >= m and cannot beat the minimum
             break
-        _check_cap("index", cap, m, p, len(survivors), best)
         classes = _children(survivors, p, m)
         m += 1
     return best

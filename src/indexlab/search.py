@@ -56,9 +56,7 @@ def _targeted_candidates(n: int, p: int):
             yield base + IntPoly(g)
 
 
-def search_prime_divisor_field(
-    n: int, p: int, budget: int = DEFAULT_BUDGET, cap: int | None = None
-) -> SearchResult:
+def search_prime_divisor_field(n: int, p: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """First monic degree-n f in the targeted order whose field satisfies
     p | i(K), verified by the exact engine."""
     check_prime(p)
@@ -73,7 +71,7 @@ def search_prime_divisor_field(
             field = build_field(f)
         except ReduciblePolynomial:
             continue
-        report = full_report(field, cap)
+        report = full_report(field)
         if report.i_K % p == 0:
             return SearchResult(poly=f, report=report, candidates_tried=tried)
     raise SearchBudgetExhausted(

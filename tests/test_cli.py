@@ -62,6 +62,13 @@ def test_exit_codes(capsys):
     assert code == 3
     code, _, err = run_cli(capsys, ["invariants", "x^8 - 2"])
     assert code == 3
+    # a coefficient list skips the parser's degree check: the field refuses it
+    code, _, err = run_cli(capsys, ["invariants", "[2,0,0,0,0,0,0,0,1]"])
+    assert code == 3 and err == "invalid field: degree 8 > 7\n"
+    # degree 1: the generator is the rational integer itself
+    code, out, _ = run_cli(capsys, ["invariants", "x - 3", "--format", "tsv"])
+    assert code == 0
+    assert {"i_K\t1", "I_K\t1", "witness.coords\t3"} <= set(out.splitlines())
     # refused from the exponent alone, before a coefficient list is built
     code, _, err = run_cli(capsys, ["invariants", "x^99999999999 + 1"])
     assert code == 3 and err == "invalid field: degree 99999999999 > 7\n"
@@ -128,10 +135,10 @@ def test_parse_range_keeps_a_range_lazy():
 def test_verify_writes_each_row_as_it_finishes(capsys, monkeypatch):
     verify_one = families.verify_one
 
-    def stop_at_the_second(family, m, cap=None):
+    def stop_at_the_second(family, m):
         if m == 3:
             raise IndexLabError("stopped at m=3")
-        return verify_one(family, m, cap)
+        return verify_one(family, m)
 
     monkeypatch.setattr(families, "verify_one", stop_at_the_second)
     code, out, err = run_cli(capsys, ["verify", "quadratic", "--range", "2..4"])
@@ -184,20 +191,6 @@ def test_compare_ramified_pair(capsys):
     assert payload["valuations"]["field1"] == payload["valuations"]["field2"] == [0, 0]
 
 
-def test_cap_flag(capsys):
-    code, _, _ = run_cli(capsys, ["invariants", "x^2 - 17", "--cap", "9"])
-    assert code == 0
-
-
-@pytest.mark.parametrize("command", ["invariants", "verify", "search-t1", "compare"])
-def test_every_subcommand_documents_cap(capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--help"])
-    assert exc.value.code == 0
-    out = " ".join(capsys.readouterr().out.split())
-    assert "--cap N stop a refinement search that would pass level N (exit 1)" in out
-
-
 USAGE_ERRORS = {
     "empty-range": ["verify", "quadratic", "--range", "5..2"],
     "non-integer-range": ["verify", "quadratic", "--range", "1,x"],
@@ -208,8 +201,6 @@ USAGE_ERRORS = {
     "search-non-prime": ["search-t1", "--degree", "5", "--prime", "4"],
     "compare-non-prime": ["compare", "x^2 - 2", "x^2 - 3", "--prime", "4"],
     "compare-degree-mismatch": ["compare", "x^2 - 2", "x^3 - 2", "--prime", "2"],
-    "cap-negative": ["invariants", "x^3 - 2", "--cap", "-1"],
-    "cap-zero": ["verify", "quadratic", "--range", "1..3", "--cap", "0"],
     "primes-non-prime": ["invariants", "x^3 - 2", "--primes", "4,9"],
     "primes-non-integer": ["invariants", "x^3 - 2", "--primes", "2,a"],
     "primes-none": ["invariants", "x^3 - 2", "--primes", ","],
@@ -252,7 +243,9 @@ def test_invariants_parses_primes_before_building_the_field(capsys, monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "option", [["--jobs", "2"], ["--out", "report.tsv"]], ids=["jobs", "out"]
+    "option",
+    [["--jobs", "2"], ["--out", "report.tsv"], ["--cap", "2"]],
+    ids=["jobs", "out", "cap"],
 )
 def test_verify_has_no_jobs_or_out_option(capsys, tmp_path, monkeypatch, option):
     monkeypatch.chdir(tmp_path)
@@ -276,16 +269,6 @@ def test_importing_the_cli_loads_no_process_pool():
     assert out == "[]\n"
 
 
-def test_cap_exceeded_counts_classes_up_to_unit_multiple_and_translation(capsys):
-    # level 1 holds the 7 classes mod 2 with coordinate 0 at 0 and first
-    # nonzero coordinate 1, one per orbit of t -> ut + c; one stays undecided
-    code, out, err = run_cli(capsys, ["invariants", "[1,5,-6,-5,1]", "--cap", "1"])
-    assert code == 1 and out == ""
-    assert err == (
-        "error: value-gcd refinement passed level 1 at p=2 (1 classes undecided)\n"
-    )
-
-
 @pytest.mark.parametrize(
     "exc, message",
     [
@@ -298,7 +281,7 @@ def test_cap_exceeded_counts_classes_up_to_unit_multiple_and_translation(capsys)
     ids=["bare", "numpy-message"],
 )
 def test_search_out_of_memory_exits_4_with_one_line(capsys, monkeypatch, exc, message):
-    def min_index_valuation(field, p, cap=None):
+    def min_index_valuation(field, p):
         raise exc
 
     monkeypatch.setattr(invariants, "min_index_valuation", min_index_valuation)

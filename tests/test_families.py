@@ -203,19 +203,6 @@ def test_verify_family_yields_rows_in_the_given_order():
         verify_family("octic", [1])
 
 
-def test_verify_reports_a_capped_parameter_as_a_row():
-    # m = 1 finishes under cap 2; m = 8 needs level 4 at p = 2
-    rows = list(verify_family("simplest_sextic", [1, 8], cap=2))
-    ok, capped = rows
-    assert (ok["m"], ok["pass"]) == (1, True)
-    assert capped["m"] == 8 and capped["applicable"] is True
-    assert capped["pass"] is None and capped["i_exact"] is None
-    assert capped["reason"] == (
-        "value-gcd refinement passed level 2 at p=2 (16 classes undecided)"
-    )
-    assert _discrepancies(rows) == [capped] and not is_discrepancy(ok)
-
-
 def test_verify_marks_reducible_parameters_inapplicable():
     row = verify_one("simplest_sextic", 5)
     assert row["applicable"] is False

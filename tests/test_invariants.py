@@ -10,7 +10,6 @@ import pytest
 
 from indexlab import cli, invariants, modpoly
 from indexlab.arith import gcd_all, primes_upto, valuation, vp_factorial
-from indexlab.errors import RefinementCapExceeded
 from indexlab.families import family_polynomial
 from indexlab.intpoly import IntPoly, parse_poly
 from indexlab.invariants import (
@@ -217,15 +216,6 @@ def test_good_element_trivial_invariant_returns_generator():
     assert good_element(K) == K.generator()
 
 
-def test_refinement_cap_exceeded():
-    K = build_field("x^2 - 17")
-    with pytest.raises(RefinementCapExceeded):
-        vp_iK(K, 2, cap=0)
-    Kq = build_field("x^4 - x^3 - 6*x^2 + x + 1")  # equation order not 2-maximal
-    with pytest.raises(RefinementCapExceeded):
-        vp_IK(Kq, 2, cap=0)
-
-
 def test_coefficients_beyond_int64_and_translation():
     # 2^40 in the defining polynomial puts times-table entries above 2^63
     f = IntPoly([3, 0, 0, 2**40, 0, 0, 1])
@@ -240,28 +230,19 @@ def test_report_is_cached():
     assert full_report(K) is full_report(K)
 
 
-def test_capped_searches_run_once_and_share_the_memo(monkeypatch, capsys):
+def test_searches_run_once_and_share_the_memo(monkeypatch, capsys):
     calls = []
     search = invariants.max_i_valuation
 
     @functools.wraps(search)
-    def counted(field, p, cap=None):
+    def counted(field, p):
         calls.append(p)
-        return search(field, p, cap=cap)
+        return search(field, p)
 
     monkeypatch.setattr(invariants, "max_i_valuation", counted)
-    assert cli.main(["invariants", "[1,5,-6,-5,1]", "--cap", "9"]) == 0
+    assert cli.main(["invariants", "[1,5,-6,-5,1]"]) == 0
     capsys.readouterr()
     assert sorted(calls) == primes_upto(4)
-
-    # a cap only stops a search early: a memoised exact value is returned
-    # even where the same search under that cap would raise
-    f = IntPoly([1, 5, -6, -5, 1])
-    with pytest.raises(RefinementCapExceeded):
-        vp_iK(build_field(f), 2, cap=1)
-    K = build_field(f)
-    report = full_report(K)
-    assert vp_iK(K, 2, cap=1) == report.valuations[2][0] == 2
 
 
 def mobius(d):

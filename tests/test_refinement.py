@@ -175,22 +175,6 @@ def test_index_valuations_multiply_to_the_basis_index():
             assert v == _p_maximalize(_equation_order(as_poly(poly)), p)[1]
 
 
-def test_caps_at_the_stopping_levels_never_bind():
-    # the i search stops by level v_p(n!) and the index search by the
-    # generator's level v_p([A : Z[theta]]): a cap there changes nothing
-    for poly, primes in CORPUS:
-        K = build_field(poly)
-        for p in primes:
-            i_cap = vp_factorial(K.degree, p)
-            I_cap = K.index_valuations.get(p, 0)
-            assert refinement.max_i_valuation(K, p, cap=i_cap) == (
-                refinement.max_i_valuation(K, p)
-            )
-            assert refinement.min_index_valuation(K, p, cap=I_cap) == (
-                refinement.min_index_valuation(K, p)
-            )
-
-
 # one field per degree 2..7
 KERNEL_FIELDS = [
     "x^2 - 17",
@@ -358,7 +342,17 @@ BOUND_CASES = {
     "split-quintic-2": (roots_plus(5, 4096), 2, (3, 640, True)),
     "x7-3x+1-7": (IntPoly([1, -3, 0, 0, 0, 0, 0, 1]), 7, (1, 19608, False)),
     "sextic8-2": (family_polynomial("simplest_sextic", 8), 2, (4, 4096, False)),
+    "quartic-2": (IntPoly([1, 5, -6, -5, 1]), 2, (3, 16, False)),
 }
+
+
+def test_level_one_counts_classes_up_to_unit_multiple_and_translation():
+    # the 7 classes mod 2 with coordinate 0 at 0 and first nonzero
+    # coordinate 1, one per orbit of t -> ut + c; one stays undecided
+    K = build_field(BOUND_CASES["quartic-2"][0])
+    classes = refinement._all_classes(2, 4)
+    assert len(classes) == 7
+    assert np.count_nonzero(i_profile(K, 2, 1, classes) >= 1) == 1
 
 
 @pytest.mark.parametrize("head", [None, 1], ids=["default-prefix", "prefix-1"])
