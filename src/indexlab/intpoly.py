@@ -123,13 +123,6 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def compose(self, inner: "IntPoly") -> "IntPoly":
-        """self(inner(x)) by Horner."""
-        out = IntPoly()
-        for c in reversed(self.coeffs):
-            out = out * inner + IntPoly([c])
-        return out
-
     # -- text -------------------------------------------------------------
 
     def __str__(self) -> str:

@@ -128,9 +128,6 @@ class InvariantReport:
     def support_i(self) -> frozenset[int]:
         return frozenset(p for p, (vi, _) in self.valuations.items() if vi > 0)
 
-    def support_I(self) -> frozenset[int]:
-        return frozenset(p for p, (_, vI) in self.valuations.items() if vI > 0)
-
 
 def full_report(field: NumberField) -> InvariantReport:
     """Assemble splittings, i(K), I(K), valuations, and a good element.

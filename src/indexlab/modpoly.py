@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import check_prime, factorint
+from .arith import check_prime
 from .errors import InvalidDegree, ZeroModP
 from .intpoly import IntPoly, as_poly
 
@@ -123,13 +123,6 @@ class FactorizationModP:
     unit: int
     factors: tuple[tuple[ModPoly, int], ...]
 
-    def product(self) -> ModPoly:
-        out = ModPoly(self.p, [self.unit])
-        for g, e in self.factors:
-            for _ in range(e):
-                out = out * g
-        return out
-
 
 @lru_cache(maxsize=None)
 def monic_irreducibles(p: int, degree: int) -> tuple[ModPoly, ...]:
@@ -175,23 +168,3 @@ def factor_mod_p(f, p: int) -> FactorizationModP:
         key=lambda ge: ge[0].sort_key(),
     )
     return FactorizationModP(p=p, unit=int(unit), factors=tuple(factors))
-
-
-def _moebius(n: int) -> int:
-    fac = factorint(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def count_monic_irreducibles(p: int, degree: int) -> int:
-    """(1/f) * sum_{d | f} mu(d) p^(f/d): monic irreducibles of degree f over F_p."""
-    check_prime(p)
-    if degree < 1:
-        raise InvalidDegree("degree must be >= 1")
-    total = 0
-    for d in range(1, degree + 1):
-        if degree % d == 0:
-            total += _moebius(d) * p ** (degree // d)
-    assert total % degree == 0
-    return total // degree

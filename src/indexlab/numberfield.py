@@ -1,10 +1,11 @@
 """Number fields of degree <= 7 from defining polynomials.
 
 A field is built by maximalizing the equation order Z[theta] at every prime
-whose square divides disc(f): the radical of pO is computed as a Frobenius
-kernel, its ring of multipliers enlarges the order, and the loop repeats
-until stable.  The integral basis is stored as a lower-triangular HNF matrix
-over the power basis with one common denominator, so basis vector i only
+whose square divides disc(f): the radical of pO is the kernel of
+x -> x^(p^k) (p^k >= n), its ring of multipliers enlarges the order, and the
+loop repeats until stable.  The integral basis is stored as a
+lower-triangular HNF matrix over the power basis with one common
+denominator, so basis vector i only
 involves 1, theta, ..., theta^i and the first basis vector is always 1.
 No general HNF is needed: the equation order's basis is the identity, and
 each enlargement multiplies the basis by another triangular one.
@@ -18,7 +19,8 @@ Prime splitting: when the equation order is p-maximal the splitting type is
 read off the factorization of f mod p; otherwise it is read off the
 Frobenius x -> x^p on the finite algebra A/pA: its fixed space is spanned by
 the idempotents of the local components, and a high enough power of it maps
-each component onto its residue field.
+each component onto its residue field.  Round-2 and the split read one
+Frobenius record per (order, p) from the order's memo (see `_frobenius`).
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ class _Order:
     lattice's Hermite normal form, which is unique.
     """
 
-    __slots__ = ("poly", "n", "den", "w", "table")
+    __slots__ = ("poly", "n", "den", "w", "table", "_memo")
 
     def __init__(self, poly, w_rows, den):
         self.poly = poly
@@ -188,6 +190,18 @@ class _Order:
         self.w = w
         assert self.w[0][0] == self.den, "order must contain 1"
         self.table = self._times_table()
+        self._memo = {}
+
+    def memo(self, key, compute):
+        """The value under `key`, from `compute()` on its first use.
+
+        Frobenius records, splitting types, reduced times tables, search
+        results and the report are kept here.  The first value stored wins
+        (`dict.setdefault`), so racing callers all get the same object.
+        """
+        if key in self._memo:
+            return self._memo[key]
+        return self._memo.setdefault(key, compute())
 
     def _power_table(self):
         """Coordinates of x^k mod f over the power basis, k = 0 .. 2n-2."""
@@ -273,37 +287,39 @@ def _alg_mul_mod_p(u, v, table, p):
 
 
 def _alg_pow(u, e, table, p):
-    """u^e (e >= 0) in the algebra with this times table mod p."""
-    acc = _unit(len(u), 0)
-    while e:
-        if e & 1:
+    """u^e (e >= 1) for u reduced mod p, left to right: a squaring per bit
+    after the leading one and a product per set bit (3 products for x^8)."""
+    acc = u
+    for bit in bin(e)[3:]:
+        acc = _alg_mul_mod_p(acc, acc, table, p)
+        if bit == "1":
             acc = _alg_mul_mod_p(acc, u, table, p)
-        u = _alg_mul_mod_p(u, u, table, p)
-        e >>= 1
     return acc
 
 
-def _power_matrix(table, e, p, n):
-    """Matrix (rows) of x -> x^e on the algebra with this times table mod p.
+def _frobenius(order, p):
+    """(T, Phi, Phi^k) of the algebra O/pO, computed once per (order, p).
 
-    It is F_p-linear when e is a power of p."""
-    return [_alg_pow(_unit(n, i), e, table, p) for i in range(n)]
+    T is the times table mod p, Phi the matrix (rows e_i^p) of the F_p-linear
+    x -> x^p, and Phi^k (k - 1 products, k >= 1 least with p^k >= n) that
+    of x -> x^(p^k): its kernel is the nilradical, its image the product of
+    the coefficient fields (see `_split_via_algebra`).  A field shares its
+    order's memo, so the split at the last prime Round-2 enlarged at reuses
+    Round-2's last record; at an earlier prime a later enlargement changed
+    the basis, and the split builds the record once on the final order.
+    """
 
+    def compute():
+        n = order.n
+        table = _mod_table(order.table, p)
+        phi = [_alg_pow(_unit(n, i), p, table, p) for i in range(n)]
+        phi_k, q = phi, p
+        while q < n:
+            phi_k = [[x % p for x in row] for row in mat_mul(phi_k, phi)]
+            q *= p
+        return table, phi, phi_k
 
-def _stable_exponent(p, n):
-    """The least q = p^k (k >= 1) with q >= n.
-
-    x -> x^q has the nilradical as kernel and the product of the coefficient
-    fields as image (see `_split_via_algebra`)."""
-    q = p
-    while q < n:
-        q *= p
-    return q
-
-
-def _radical_mod_p(table, p, n):
-    """Basis of the nilradical of the algebra with this times table mod p."""
-    return _left_nullspace_mod_p(_power_matrix(table, _stable_exponent(p, n), p, n), p)
+    return order.memo(("frobenius", p), compute)
 
 
 def _lattice_mod_p(vectors, p, n):
@@ -324,9 +340,9 @@ def _lattice_mod_p(vectors, p, n):
 
 
 def _radical_rows(order, p):
-    """HNF basis of the radical of p*O inside O (Frobenius kernel pullback)."""
-    n = order.n
-    return _lattice_mod_p(_radical_mod_p(_mod_table(order.table, p), p, n), p, n)
+    """HNF basis of the radical of p*O inside O: the pullback of ker Phi^k."""
+    phi_k = _frobenius(order, p)[2]
+    return _lattice_mod_p(_left_nullspace_mod_p(phi_k, p), p, order.n)
 
 
 def _enlarge_at_p(order, p):
@@ -419,9 +435,6 @@ class SplittingType:
     def num_primes(self) -> int:
         return len(self.pairs)
 
-    def is_ramified(self) -> bool:
-        return any(e > 1 for e, _ in self.pairs)
-
     def __eq__(self, other):
         return isinstance(other, SplittingType) and self.pairs == other.pairs
 
@@ -510,18 +523,8 @@ class NumberField:
         assert self.poly_disc % (self.index * self.index) == 0
         self.disc = self.poly_disc // (self.index * self.index)
         assert self.disc % 4 in (0, 1), "field discriminant must be 0 or 1 mod 4"
-        self._memo: dict = {}
-
-    def memo(self, key, compute):
-        """The value under `key`, from `compute()` on its first use.
-
-        Splitting types, reduced times tables, search results and the report
-        are kept here.  The first value stored wins (`dict.setdefault`), so
-        callers that race on one key all get the same object.
-        """
-        if key in self._memo:
-            return self._memo[key]
-        return self._memo.setdefault(key, compute())
+        # one memo per field: its order's (see `_Order.memo`)
+        self.memo = order.memo
 
     @property
     def times_table(self):
@@ -635,24 +638,24 @@ def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
       unit on the others, so by Fermat 1 - (v - c)^(p-1) is the sum of the
       E_i on which v equals c.  Refining by every vector of a basis of the
       fixed space separates all the components.
+
+    T, Phi and Phi^k are the `_frobenius` record of the field's order.
     """
     n = field.degree
-    table = _mod_table(field.times_table, p)
+    table, phi, image = _frobenius(field._order, p)
 
     def mul(u, v):
         return _alg_mul_mod_p(u, v, table, p)
 
     one = _unit(n, 0)
-    phi = _power_matrix(table, p, p, n)
     fix = [[(phi[a][b] - (1 if a == b else 0)) % p for b in range(n)] for a in range(n)]
     idempotents = [one]
     for v in _left_nullspace_mod_p(fix, p):
-        powers = (_alg_pow([v[0] - c] + v[1:], p - 1, table, p) for c in range(p))
+        powers = (_alg_pow([(v[0] - c) % p] + v[1:], p - 1, table, p) for c in range(p))
         parts = [[o - x for o, x in zip(one, y)] for y in powers]
         products = (mul(e, part) for e in idempotents for part in parts)
         idempotents = [e for e in products if any(e)]
 
-    image = _power_matrix(table, _stable_exponent(p, n), p, n)
     pairs = []
     for e in idempotents:
         f_deg = _rank_mod_p([mul(e, row) for row in image], p)

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from indexlab import cli, invariants, modpoly
+from indexlab import cli, invariants, modpoly, numberfield
 from indexlab.arith import gcd_all, primes_upto, valuation, vp_factorial
 from indexlab.families import family_polynomial
 from indexlab.intpoly import IntPoly, parse_poly
@@ -31,6 +31,7 @@ from indexlab.numberfield import (
 )
 
 from local_degrees import g_p, vp_i_from_splitting
+from poly_oracles import compose, monic_irreducible_count
 
 DEDEKIND = "x^3 - x^2 - 2*x - 8"
 
@@ -125,7 +126,8 @@ def test_divisor_direction_and_failed_converse():
     # v_p(I) > 0 forces v_p(i) > 0; the converse fails at Q(sqrt 17)
     for poly in (DEDEKIND, "x^2 - 17", "x^3 - 13*x + 4", "x^3 - x + 3"):
         r = full_report(build_field(poly))
-        assert r.support_I() <= r.support_i()
+        support_I = {p for p, (_, vI) in r.valuations.items() if vI > 0}
+        assert support_I <= r.support_i()
     r17 = full_report(build_field("x^2 - 17"))
     assert r17.valuations[2] == (1, 0)
 
@@ -183,6 +185,18 @@ def test_primitive_lift_from_a_non_primitive_class(start):
     assert 1 <= k <= n * (n - 1) // 2
 
 
+def sextics_and_cubics():
+    """simplest_sextic m = 1..24, then seeded cubics up to 100 fields."""
+    rng = random.Random(20261019)
+    sextics = (family_polynomial("simplest_sextic", m) for m in range(1, 25))
+    polys = [f for f in sextics if is_irreducible(f)]
+    while len(polys) < 100:
+        f = IntPoly([rng.randint(-300, 300), rng.randint(-300, 300), 0, 1])
+        if is_irreducible(f):
+            polys.append(f)
+    return polys
+
+
 def test_f_mod_p_is_factored_at_most_once_per_field(monkeypatch):
     real = modpoly.factor_mod_p
     calls = []
@@ -194,21 +208,41 @@ def test_f_mod_p_is_factored_at_most_once_per_field(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("indexlab") and getattr(module, "factor_mod_p", None) is real:
             monkeypatch.setattr(module, "factor_mod_p", recording)
-    rng = random.Random(20261019)
-    sextics = (family_polynomial("simplest_sextic", m) for m in range(1, 25))
-    polys = [f for f in sextics if is_irreducible(f)]
-    while len(polys) < 100:
-        f = IntPoly([rng.randint(-300, 300), rng.randint(-300, 300), 0, 1])
-        if is_irreducible(f):
-            polys.append(f)
     repeated, total = [], 0
-    for f in polys:
+    for f in sextics_and_cubics():
         calls.clear()
         full_report(build_field(f))
         total += len(calls)
         repeated += [(f, p) for (_, p), k in Counter(calls).items() if k > 1]
     assert total > 100
     assert repeated == []
+
+
+def test_frobenius_record_is_built_once_per_order_and_shared_with_the_split(monkeypatch):
+    # every record starts by reducing its order's times table mod p; the
+    # tables are held so that their ids stay distinct
+    builds, tables, reused = Counter(), [], []
+    real_mod, real_split = numberfield._mod_table, numberfield._split_via_algebra
+
+    def counting_mod(table, p):
+        tables.append(table)
+        builds[id(table), p] += 1
+        return real_mod(table, p)
+
+    def split(field, p):
+        # splits run once per (field, p), so a record already on the
+        # field's order is the one Round-2's last step at p built
+        reused.append(builds[id(field.times_table), p] == 1)
+        return real_split(field, p)
+
+    monkeypatch.setattr(numberfield, "_mod_table", counting_mod)
+    monkeypatch.setattr(numberfield, "_split_via_algebra", split)
+    for f in sextics_and_cubics():
+        full_report(build_field(f))
+    assert len(builds) > 50 and max(builds.values()) == 1
+    # a Round-2 enlargement at a later prime changes the basis, so some
+    # splits build their own record on the final order
+    assert any(reused) and not all(reused)
 
 
 def test_good_element_trivial_invariant_returns_generator():
@@ -219,7 +253,7 @@ def test_good_element_trivial_invariant_returns_generator():
 def test_coefficients_beyond_int64_and_translation():
     # 2^40 in the defining polynomial puts times-table entries above 2^63
     f = IntPoly([3, 0, 0, 2**40, 0, 0, 1])
-    a, b = [full_report(build_field(g)) for g in (f, f.compose(parse_poly("x + 1")))]
+    a, b = [full_report(build_field(g)) for g in (f, compose(f, parse_poly("x + 1")))]
     assert a.field_disc == b.field_disc
     assert (a.i_K, a.I_K) == (b.i_K, b.I_K) == (4, 4)
     assert a.valuations == b.valuations
@@ -243,23 +277,6 @@ def test_searches_run_once_and_share_the_memo(monkeypatch, capsys):
     assert cli.main(["invariants", "[1,5,-6,-5,1]"]) == 0
     capsys.readouterr()
     assert sorted(calls) == primes_upto(4)
-
-
-def mobius(d):
-    out, q = 1, 2
-    while d > 1:
-        if d % q == 0:
-            d //= q
-            if d % q == 0:
-                return 0
-            out = -out
-        q += 1
-    return out
-
-
-def monic_irreducible_count(f, p):
-    """Monic irreducible polynomials of degree f over F_p (Gauss)."""
-    return sum(mobius(d) * p ** (f // d) for d in range(1, f + 1) if f % d == 0) // f
 
 
 def hensel_divides_I(splitting, p):

@@ -21,7 +21,9 @@ from indexlab.intpoly import IntPoly, as_poly, parse_poly, poly_discriminant
 from indexlab.modpoly import factor_mod_p
 from indexlab.numberfield import (
     SplittingType,
+    _enlarge_at_p,
     _equation_order,
+    _frobenius,
     _lattice_mod_p,
     _p_maximalize,
     _split_via_algebra,
@@ -458,6 +460,74 @@ def test_split_fast_and_general_paths_agree():
     assert sum(n for primes, n in many.items() if primes >= 3) >= 12
 
 
+def frobenius_oracle(order, p):
+    """Rows e_i^p and e_i^(p^k), p^k >= n, by multiplying e_i into itself
+    one factor at a time under the order's times table, mod p."""
+    n = order.n
+    q = p
+    while q < n:
+        q *= p
+
+    def times(u, v):
+        out = [0] * n
+        for i in range(n):
+            for j in range(n):
+                for k, c in enumerate(order.table[i][j]):
+                    out[k] += u[i] * v[j] * c
+        return [x % p for x in out]
+
+    phi, phi_k = [], []
+    for i in range(n):
+        e = [int(j == i) for j in range(n)]
+        x = e
+        for t in range(2, q + 1):
+            x = times(x, e)
+            if t == p:
+                phi.append(x)
+        phi_k.append(x)
+    return times, phi, phi_k
+
+
+def test_frobenius_matches_repeated_multiplication():
+    rng = random.Random(41)
+    intermediate = final = 0
+    while final < 60:
+        p = rng.choice((2, 3, 5, 7))
+        deg = rng.randint(2, 7)
+        if rng.random() < 0.5:
+            f = IntPoly([rng.randint(-9, 9) for _ in range(deg)] + [1])
+        else:  # prod (x - r_i) + c*p^k is rarely p-maximal
+            f = IntPoly([1])
+            for _ in range(deg):
+                f = f * IntPoly([-rng.randrange(p), 1])
+            f = f + IntPoly([rng.choice((-1, 1)) * p ** rng.randint(1, 3)])
+        if not is_irreducible(f):
+            continue
+        orders = [_equation_order(f)]
+        while True:  # every order Round-2 passes through at p
+            order, gain = _enlarge_at_p(orders[-1], p)
+            if not gain:
+                break
+            orders.append(order)
+        intermediate += len(orders) - 1
+        orders.append(build_field(f)._order)
+        final += 1
+        for order in orders:
+            n = order.n
+            table, phi, phi_k = _frobenius(order, p)
+            times, phi_oracle, phi_k_oracle = frobenius_oracle(order, p)
+            assert table == [[[c % p for c in tij] for tij in row] for row in order.table]
+            assert (phi, phi_k) == (phi_oracle, phi_k_oracle), (f, p)
+            # Phi is F_p-linear: v * Phi is the p-th power of v
+            for _ in range(3):
+                v = [rng.randrange(p) for _ in range(n)]
+                power = v
+                for _ in range(p - 1):
+                    power = times(power, v)
+                assert [sum(v[i] * phi[i][j] for i in range(n)) % p for j in range(n)] == power
+    assert intermediate >= 30
+
+
 @pytest.mark.parametrize("q", [11, 13, 101])
 def test_general_split_at_large_index_primes(q):
     # K' = Q(q*theta + r) is K again, but its defining polynomial has q | index,
@@ -491,7 +561,7 @@ def test_ramified_iff_dividing_disc():
     for K in fields:
         assert K.disc % 4 in (0, 1)
         for p in primes_upto(50):
-            ramified = split_prime(K, p).is_ramified()
+            ramified = any(e > 1 for e, _ in split_prime(K, p))
             assert ramified == (K.disc % p == 0)
 
 
