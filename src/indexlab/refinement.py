@@ -74,20 +74,22 @@ batches of at most _CHUNK classes, with a max/min reduction at the level
 barrier; they differ only in the residues whose valuation it takes, the
 char poly's values at x = 0..n (_char_values) or the power-basis
 determinant (_index_dets).  _CHUNK is small enough that a batch's (n, n, B)
-int32 matrices stay in cache across the Berkowitz steps.  A batch is laid
-out batch last: one einsum over the times table gives the (n, n, B)
+matrices stay in cache across the Berkowitz steps.  A batch is laid out
+batch last: one einsum over the times table gives the (n, n, B)
 multiplication matrices, _index_dets builds the power-basis matrices from
-them, and one Berkowitz kernel works on whole contiguous (B,) rows of
-either.  Each chunk of classes is cast straight to int32: every class a
-search passes is a residue below p^m (level 1 holds digits below p, and
-_children adds multiples of p^m to residues below p^m).  Arithmetic runs in
-int32 with explicit reduction mod p^m, which is exact while p^m <= 2^14.
+them, one Berkowitz kernel works on whole contiguous (B,) rows of either,
+and one more einsum evaluates the char polys at x = 0..n.  Each chunk of
+classes is cast straight to the kernel's width: every class a search
+passes is a residue below p^m (level 1 holds digits below p, and _children
+adds multiples of p^m to residues below p^m).  Arithmetic runs in that
+width with explicit reduction mod p^m; the times table and the powers of x
+are stored in it, and every other array takes its inputs' type.
 
 _reduce computes x mod p^m as x - (x // p^m) * p^m: numpy divides an
 integer array by a scalar with a multiply and a shift (Granlund and
 Montgomery, PLDI 1994), while its `%` by a scalar is not vectorized.  Floor
 division puts (x // p^m) * p^m in (x - p^m, x], so the result lies in
-[0, p^m) for x of either sign.  Every operand is a residue below 2^14, and
+[0, p^m) for x of either sign.  Every operand is a residue below p^m, and
 every value the kernel reduces is a sum of at most n + 1 <= 8 products of
 two residues, or the negation of one: the contraction with the times
 table, the row products (negated), the column products and the polynomial
@@ -96,9 +98,12 @@ poly's value at x = 0..n against the powers of x reduced mod p^m.
 Berkowitz reduces each step's q[1] = -a_ii and q[2 + j] = -row . S^j C
 together, once; S^j C itself is reduced at every j, because it feeds the
 next product.  So every value before its reduction has
-|x| <= 8 * (2^14 - 1)^2 = 2^31 - 2^18 + 8, the product (x // p^m) * p^m
-is at most p^m further from 0, and no step leaves int32.  For n <= 7 the
-modulus never gets that large.  The i search stops by level v_p(n!) <= 4.
+|x| <= (n + 1)(p^m - 1)^2, and (x // p^m) * p^m is less than p^m further
+from 0.  Hence _width picks int16 when (n + 1)(p^m - 1)^2 + p^m < 2^15, for
+n <= 7 when p^m <= 64 (|x| <= 8 * 63^2 = 31752), and int32 up to p^m =
+2^14 (|x| <= 2^31 - 2^18 + 8).  For n <= 7 the modulus never passes
+2^13.  The i search stops by level v_p(n!) <= 4, so it runs at p^m <= 16,
+in int16.
 The index search stops by level v_p(I(K)) + 1, and v_p(I(K)) <= 12 for
 n <= 7 (Engstrom, Trans. AMS 32, 1930): the worst case is 2 splitting
 completely in degree 7, where at least 9 pairs of the seven 2-adic
@@ -120,11 +125,16 @@ _CHUNK = 1 << 12  # classes per batch: its matrices stay in cache
 _HEAD = 1 << 10  # classes tried first at the factorial bound
 
 
+def _width(n: int, mod: int):
+    """The kernel's integer type mod `mod` in degree n (see the module docstring)."""
+    return np.int16 if (n + 1) * (mod - 1) ** 2 + mod < 1 << 15 else np.int32
+
+
 def _np_table(field, mod: int):
     # reduce the exact table before the cast: its entries can pass 2^63
     return field.memo(
         ("np_table", mod),
-        lambda: np.array(_mod_table(field.times_table, mod), dtype=np.int32),
+        lambda: np.array(_mod_table(field.times_table, mod), _width(field.degree, mod)),
     )
 
 
@@ -186,8 +196,8 @@ def _children(survivors, p: int, m: int):
 
 @functools.cache
 def _powers(n: int, mod: int):
-    """Row x holds x^n, ..., x, 1 mod `mod` for x = 0..n, int32 (read-only)."""
-    return _frozen((np.vander(np.arange(n + 1), n + 1) % mod).astype(np.int32))
+    """Row x holds x^n, ..., x, 1 mod `mod` for x = 0..n (read-only)."""
+    return _frozen((np.vander(np.arange(n + 1), n + 1) % mod).astype(_width(n, mod)))
 
 
 def _charpoly_batch(mats, mod: int):
@@ -243,7 +253,8 @@ def _char_values(mult, mod: int):
     """F(x) mod `mod` at x = 0..n, per class: the (n + 1, B) values."""
     n = mult.shape[0]
     # each value F(x) at x = 0..n is a sum of n + 1 products of two residues
-    return _reduce(_powers(n, mod) @ _charpoly_batch(mult, mod), mod)
+    cp = _charpoly_batch(mult, mod)
+    return _reduce(np.einsum("xk,kb->xb", _powers(n, mod), cp), mod)
 
 
 def _index_dets(mult, mod: int):
@@ -266,7 +277,7 @@ def _profile(field, p: int, m: int, classes, values):
     out = np.empty(len(classes), dtype=np.int64)
     table = _np_table(field, mod)
     for lo in range(0, len(classes), _CHUNK):
-        chunk = classes[lo : lo + _CHUNK].astype(np.int32)
+        chunk = classes[lo : lo + _CHUNK].astype(table.dtype)
         mult = _mult_matrices(table, chunk, mod)
         out[lo : lo + len(chunk)] = _min_vp(values(mult, mod), p, m)
     return out

@@ -1,6 +1,6 @@
 """Refinement searches: the symmetry t -> ut + c, the reduced class sets,
-the int32 kernel's reduction, contractions, Berkowitz step and batching,
-and the stop at the factorial bound."""
+the kernel's int16/int32 width, reduction, contractions, Berkowitz step and
+batching, and the stop at the factorial bound."""
 
 import math
 import random
@@ -11,6 +11,7 @@ import pytest
 from indexlab import refinement
 from indexlab.arith import INFINITY, valuation, vp_factorial
 from indexlab.families import family_polynomial
+from indexlab.intmatrix import det_rows
 from indexlab.intpoly import IntPoly, as_poly
 from indexlab.invariants import full_report, i_theta
 from indexlab.numberfield import (
@@ -124,7 +125,7 @@ def test_class_sets_hold_one_class_per_orbit(p, n, levels):
         if m > 1:
             classes = refinement._children(classes, p, m - 1)
         mod = p**m
-        # the evaluator casts the classes to int32 unreduced
+        # the evaluator casts the classes to the kernel's width unreduced
         assert classes.min() >= 0 and classes.max() < mod
         assert len(classes) == (p ** (n - 1) - 1) // (p - 1) * p ** ((n - 2) * (m - 1))
         # every class mod p^m with coordinate 0 at 0 and not 0 mod p is a
@@ -185,27 +186,88 @@ KERNEL_FIELDS = [
     IntPoly([-7, 713, 1757, 1624, 735, 175, 21, 1]),
 ]
 # p^m from p = 2 up to 2^13, the top of the window the module docstring
-# argues for, and the int32 assertion's own limit
+# argues for, and the int32 assertion's own limit; 64 is the largest int16
+# modulus in degree 7 and 81 the next p^m, int32 from degree 5 on
 KERNEL_MODULI = [
-    2, 3, 4, 5, 7, 9, 25, 49, 2401, 3125, 6561, 1 << 13, refinement._INT32_SAFE_MOD
+    2, 3, 4, 5, 7, 9, 25, 49, 64, 81, 2401, 3125, 6561, 1 << 13,
+    refinement._INT32_SAFE_MOD,
 ]
+# the largest modulus each width serves in degree 7
+WIDEST_MOD = {np.int16: 64, np.int32: refinement._INT32_SAFE_MOD}
+
+
+def test_kernel_width_follows_the_modulus():
+    K = build_field(KERNEL_FIELDS[5])
+    int16 = [2, 7, 49, 64]
+    int32 = [65, 81, 1 << 13, refinement._INT32_SAFE_MOD]
+    for mod in int16 + int32:
+        dtype = np.int16 if mod in int16 else np.int32
+        assert refinement._np_table(K, mod).dtype == dtype
+        assert refinement._powers(7, mod).dtype == dtype
+    # a smaller degree sums fewer products, so int16 reaches further
+    assert refinement._width(4, 81) is np.int16
+    assert refinement._width(5, 81) is np.int32
 
 
 def test_reduce_matches_python_remainder():
-    # the kernel reduces nothing larger in magnitude than 8 products of two
-    # residues below 2^14 (see the module docstring)
-    top = 8 * (refinement._INT32_SAFE_MOD - 1) ** 2
-    assert top == 2**31 - 2**18 + 8
-    rng = np.random.default_rng(14)
-    edges = np.arange(-40, 41)
-    xs = np.concatenate(
-        (-top + 40 + edges, edges, top - 40 + edges, rng.integers(-top, top + 1, 4000))
-    ).astype(np.int32)
-    assert xs.min() == -top and xs.max() == top
-    for mod in KERNEL_MODULI:
-        got = refinement._reduce(xs.copy(), mod)
-        assert got.dtype == np.int32
-        assert got.tolist() == [x % mod for x in xs.tolist()]
+    # in degree 7 the kernel reduces nothing larger in magnitude than
+    # 8 products of two residues below the width's largest modulus (see
+    # the module docstring)
+    for dtype, top in [(np.int16, 31752), (np.int32, 2**31 - 2**18 + 8)]:
+        assert top == 8 * (WIDEST_MOD[dtype] - 1) ** 2
+        rng = np.random.default_rng(14)
+        edges = np.arange(-40, 41)
+        xs = np.concatenate(
+            (-top + 40 + edges, edges, top - 40 + edges, rng.integers(-top, top + 1, 4000))
+        ).astype(dtype)
+        assert xs.min() == -top and xs.max() == top
+        for mod in KERNEL_MODULI:
+            if mod <= WIDEST_MOD[dtype]:
+                got = refinement._reduce(xs.copy(), mod)
+                assert got.dtype == dtype
+                assert got.tolist() == [x % mod for x in xs.tolist()]
+
+
+@pytest.mark.parametrize("n", range(2, 8), ids=[f"degree-{n}" for n in range(2, 8)])
+def test_kernel_is_exact_up_to_the_widest_int16_modulus(n):
+    # int16 wraps mod 2^16, which every power of 2 up to 2^16 divides, so an
+    # overflow shows only at a modulus that is not one: check the widest
+    # int16 modulus and the three below it
+    widest = max(m for m in range(2, 1 << 8) if refinement._width(n, m) is np.int16)
+    assert widest == 64 if n == 7 else widest > 64
+    dtype = np.int16
+    for mod in range(widest - 3, widest + 1):
+        # every entry mod - 1 makes the contraction with the times table and
+        # the first Berkowitz row product as large as the width allows; the
+        # companion matrix of x^n - x^(n-1) - ... - 1 makes every char poly
+        # coefficient but the leading one mod - 1; random residues ride along
+        rng = random.Random(mod)
+        companion = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+        mats = [[[mod - 1] * n for _ in range(n)], companion + [[1] * n]] + [
+            [[rng.randrange(mod) for _ in range(n)] for _ in range(n)] for _ in range(5)
+        ]
+        table = np.full((n, n, n), mod - 1, dtype=dtype)
+        chunk = np.array([mat[0] for mat in mats], dtype=dtype)
+        got = refinement._mult_matrices(table, chunk, mod)
+        assert got.dtype == dtype
+        assert got.T.tolist() == [
+            [[(mod - 1) * sum(c) % mod] * n] * n for c in chunk.tolist()
+        ]
+        batch = kernel_layout(mats, mod)
+        assert batch.dtype == dtype
+        exact = [_charpoly_rows(mat) for mat in mats]
+        assert refinement._charpoly_batch(batch, mod).T.tolist() == [
+            [c % mod for c in e] for e in exact
+        ]
+        assert refinement._char_values(batch, mod).T.tolist() == [
+            [sum(c * x ** (n - k) for k, c in enumerate(e)) % mod for x in range(n + 1)]
+            for e in exact
+        ]
+        for mat, det in zip(mats, refinement._index_dets(batch, mod)[0].tolist()):
+            rows = [[int(j == 0) for j in range(n)], mat[0]]  # 1, t, t^2, ...
+            while len(rows) < n:
+                rows.append([sum(a * b[j] for a, b in zip(rows[-1], mat)) for j in range(n)])
+            assert det in {det_rows(rows) % mod, -det_rows(rows) % mod}
 
 
 def test_cached_constants_are_read_only():
@@ -222,9 +284,11 @@ def test_cached_constants_are_read_only():
 
 
 def kernel_layout(mats, mod):
-    """Integer matrices, reduced mod `mod`, in the kernel's (n, n, B) layout."""
+    """Integer matrices, reduced mod `mod`, in the kernel's (n, n, B) layout
+    and its width."""
     rows = [[[c % mod for c in row] for row in mat] for mat in mats]
-    return np.moveaxis(np.array(rows, dtype=np.int32), 0, -1)
+    dtype = refinement._width(len(rows[0]), mod)
+    return np.moveaxis(np.array(rows, dtype=dtype), 0, -1)
 
 
 @pytest.mark.parametrize(
@@ -244,12 +308,14 @@ def test_charpoly_kernel_matches_exact_char_poly(poly):
     powers_cp = [_charpoly_rows(rows) for rows in powers]
     for mod in KERNEL_MODULI:
         for mats, exact in ((mult, mult_cp), (powers, powers_cp)):
-            got = refinement._charpoly_batch(kernel_layout(mats, mod), mod)
-            assert got.shape == (n + 1, len(mats))
+            batch = kernel_layout(mats, mod)
+            got = refinement._charpoly_batch(batch, mod)
+            assert got.shape == (n + 1, len(mats)) and got.dtype == batch.dtype
             assert got.T.tolist() == [[c % mod for c in cp] for cp in exact]
 
 
-# (p, m) with p^m up to the int32 bound: 2^14 is the bound itself
+# (p, m) with p^m from int16's range up to the int32 bound: 2^14 is the
+# bound itself
 PROFILE_MODULI = [(2, 1), (2, 5), (2, 14), (3, 2), (3, 8), (5, 6), (7, 4), (11, 4)]
 
 
@@ -273,9 +339,10 @@ def test_kernel_contractions_match_exact_routines(poly):
     coords = np.array([t.coords for t in elements], dtype=object)
     for mod in KERNEL_MODULI:
         table = refinement._np_table(K, mod)
-        chunk = (coords % mod).astype(np.int32)
+        chunk = (coords % mod).astype(table.dtype)
         expected = kernel_layout([K.mult_matrix(t) for t in elements], mod)
-        assert np.array_equal(refinement._mult_matrices(table, chunk, mod), expected)
+        got = refinement._mult_matrices(table, chunk, mod)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
     i_seen, idx_seen = set(), set()
     for p, m in PROFILE_MODULI:
         classes = (coords % p**m).astype(np.int64)
