@@ -208,6 +208,94 @@ def test_factorint_exact_with_ascending_int_keys():
         factorint(0)
 
 
+def sympy_factorint(n):
+    """Oracle: sympy's factorisation of |n| with int keys, ascending."""
+    from sympy import factorint as sym_factorint
+
+    return {int(p): int(e) for p, e in sorted(sym_factorint(abs(n)).items())}
+
+
+def random_prime(rng, lo, hi):
+    from sympy import prevprime
+
+    return prevprime(rng.randrange(lo, hi) + 1)
+
+
+def assert_matches_sympy(values):
+    for n in values:
+        fac = factorint(n)
+        # the whole dict and its key order
+        assert list(fac.items()) == list(sympy_factorint(n).items()), n
+
+
+def test_factorint_matches_sympy_log_uniform_both_signs():
+    rng = random.Random(67)
+    assert_matches_sympy(
+        rng.choice((1, -1)) * max(1, round(10 ** rng.uniform(0, 20))) for _ in range(400)
+    )
+
+
+def test_factorint_matches_sympy_on_semiprimes():
+    rng = random.Random(71)
+    values = [random_prime(rng, 2**20, 2**32) * random_prime(rng, 2**20, 2**32) for _ in range(10)]
+    # the slowest seed-1 cubic_survey discriminant for sympy.factorint alone
+    values.append(515_690_437 * 4_643_952_623)
+    assert_matches_sympy(values)
+
+
+def test_factorint_matches_sympy_on_square_factors_above_the_trial_bound():
+    # the case square_divisor_primes exists for: p^2 | n with p > 2^10
+    rng = random.Random(73)
+    values = []
+    for _ in range(10):
+        p = random_prime(rng, 2**10, 2**24)
+        q = random_prime(rng, 2**10, 2**32)
+        values += [p * p * q] + [p**k for k in range(2, 6)]
+    values += [1031**7, 99991**3 * 3, 1031 * 1033 * 1039, 3**40, 2**64]
+    assert_matches_sympy(values)
+
+
+def test_factorint_merges_trial_division_rho_and_sympy_stage(monkeypatch):
+    import sympy
+
+    from indexlab import arith
+
+    # rho splits off 1031 within the lowered bound but not p * q^2, so sympy
+    # receives exactly that cofactor
+    p, q = 2_147_483_647, 2_147_483_629
+    monkeypatch.setattr(arith, "_RHO_STEPS", 1 << 12)
+    to_sympy = []
+    sym_factorint = sympy.factorint
+
+    def recording_factorint(m, *args, **kwargs):
+        to_sympy.append(m)
+        return sym_factorint(m, *args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factorint", recording_factorint)
+    n = -(2**3) * 3**2 * 1021 * 1031**2 * p * q**2
+    fac = factorint(n)
+    assert to_sympy == [p * q**2]
+    monkeypatch.undo()
+    assert list(fac.items()) == [(2, 3), (3, 2), (1021, 1), (1031, 2), (q, 2), (p, 1)]
+    assert fac == sympy_factorint(n)
+
+
+def test_square_divisor_primes_calls_factorint_once(monkeypatch):
+    from indexlab import arith
+
+    calls = []
+    inner = arith.factorint
+
+    def counting_factorint(n):
+        calls.append(n)
+        return inner(n)
+
+    monkeypatch.setattr(arith, "factorint", counting_factorint)
+    n = 515_690_437 * 4_643_952_623 * 7**2
+    assert arith.square_divisor_primes(n) == [7]
+    assert calls == [n]
+
+
 # -- parsing and formatting -------------------------------------------------------
 
 
