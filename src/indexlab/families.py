@@ -40,62 +40,6 @@ class FamilyPrediction:
     i_pred: frozenset[int]
 
 
-@dataclass(frozen=True)
-class CubicForm:
-    """Reduced cubic x^3 - a*x + b with its 2- and 3-adic discriminant data."""
-
-    a: int
-    b: int
-    delta: int
-    s2: int
-    delta2: int
-    s3: int
-    delta3: int
-
-    @classmethod
-    def from_pair(cls, a: int, b: int) -> "CubicForm":
-        if not is_irreducible(IntPoly([b, -a, 0, 1])):
-            raise NotAField(f"x^3 - {a}x + {b} is reducible")
-        if not _cubic_is_reduced(a, b):
-            raise NotReduced(f"(a, b) = ({a}, {b}) is not reduced")
-        delta = 4 * a**3 - 27 * b**2
-        s2 = valuation(delta, 2)
-        s3 = valuation(delta, 3)
-        return cls(
-            a=a,
-            b=b,
-            delta=delta,
-            s2=s2,
-            delta2=delta // 2**s2,
-            s3=s3,
-            delta3=delta // 3**s3,
-        )
-
-
-def _reducing_prime(a: int, b: int) -> int | None:
-    """A prime p with p^3 | b and p^2 | a, or None (b != 0)."""
-    for p, e in factorint(b).items():
-        if e >= 3 and (a == 0 or a % p**2 == 0):
-            return p
-    return None
-
-
-def _cubic_is_reduced(a: int, b: int) -> bool:
-    return b != 0 and _reducing_prime(a, b) is None
-
-
-def cubic_reduce(a: int, b: int) -> tuple[int, int]:
-    """Divide (a, b) by (p^2, p^3) while some prime allows it."""
-    if not is_irreducible(IntPoly([b, -a, 0, 1])):
-        raise NotAField(f"x^3 - {a}x + {b} is reducible")
-    while True:
-        p = _reducing_prime(a, b)
-        if p is None:
-            return a, b
-        a //= p**2
-        b //= p**3
-
-
 def cubic_predict(a: int, b: int) -> FamilyPrediction:
     """Invariants of the cubic field of x^3 - a*x + b from congruences.
 
@@ -105,7 +49,14 @@ def cubic_predict(a: int, b: int) -> FamilyPrediction:
                        delta3 = 1 mod 3)  or  (a = 1 mod 3 and 3 | b);
     I = 2 iff a odd, b even, s2 even and delta2 = 1 mod 8, else 1.
     """
-    form = CubicForm.from_pair(a, b)
+    if not is_irreducible(IntPoly([b, -a, 0, 1])):
+        raise NotAField(f"x^3 - {a}x + {b} is reducible")
+    # reduced: b != 0 and no prime p has p^3 | b and p^2 | a
+    if b == 0 or any(e >= 3 and a % p**2 == 0 for p, e in factorint(b).items()):
+        raise NotReduced(f"(a, b) = ({a}, {b}) is not reduced")
+    delta = 4 * a**3 - 27 * b**2
+    s2 = valuation(delta, 2)
+    s3 = valuation(delta, 3)
     v2a = valuation(a, 2) if a else None
     alpha = 1 if (v2a == 1 and valuation(b, 2) > 1) or (a - b) % 2 == 1 else 0
     beta = (
@@ -113,16 +64,16 @@ def cubic_predict(a: int, b: int) -> FamilyPrediction:
         if (
             a % 9 == 3
             and (b * b - a - 1) % 27 == 0
-            and form.s3 > 6
-            and form.s3 % 2 == 0
-            and form.delta3 % 3 == 1
+            and s3 > 6
+            and s3 % 2 == 0
+            and (delta // 3**s3) % 3 == 1
         )
         or (a % 3 == 1 and b % 3 == 0)
         else 0
     )
     big_i = (
         2
-        if a % 2 == 1 and b % 2 == 0 and form.s2 % 2 == 0 and form.delta2 % 8 == 1
+        if a % 2 == 1 and b % 2 == 0 and s2 % 2 == 0 and (delta // 2**s2) % 8 == 1
         else 1
     )
     return FamilyPrediction(I_pred=big_i, i_pred=frozenset({2**alpha * 3**beta}))

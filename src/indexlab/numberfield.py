@@ -444,9 +444,6 @@ class SplittingType:
     def __iter__(self):
         return iter(self.pairs)
 
-    def __len__(self):
-        return len(self.pairs)
-
     def __str__(self):
         return "".join(f"({e},{f})" for e, f in self.pairs)
 
@@ -471,28 +468,6 @@ class AlgebraicInt:
 
     def __setattr__(self, *a):
         raise AttributeError("AlgebraicInt is immutable")
-
-    def _check(self, other):
-        if not isinstance(other, AlgebraicInt) or other.field is not self.field:
-            raise InvalidInput("elements belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraicInt(self.field, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgebraicInt(self.field, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return AlgebraicInt(self.field, [other * c for c in self.coords])
-        self._check(other)
-        return AlgebraicInt(
-            self.field, _mul(self.coords, other.coords, self.field.times_table)
-        )
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
@@ -533,13 +508,10 @@ class NumberField:
     def element(self, coords) -> AlgebraicInt:
         return AlgebraicInt(self, coords)
 
-    def rational(self, c: int) -> AlgebraicInt:
-        return AlgebraicInt(self, [c] + [0] * (self.degree - 1))
-
     def generator(self) -> AlgebraicInt:
         """theta itself, written over the integral basis."""
         if self.degree == 1:
-            return self.rational(-self.poly[0])
+            return AlgebraicInt(self, [-self.poly[0]])
         target = [0] * self.degree
         target[1] = self.den
         coords = solve_lower_triangular(self.basis_rows, target)

@@ -256,10 +256,11 @@ def test_verify_has_no_jobs_or_out_option(capsys, tmp_path, monkeypatch, option)
 
 
 def test_importing_the_cli_loads_no_process_pool():
+    # sympy is imported on first use only (see `arith`), so it stays out too
     code = (
         "import sys, indexlab.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'sympy')))"
     )
     # the fresh interpreter imports this same checkout of the package
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}

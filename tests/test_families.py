@@ -7,9 +7,7 @@ import pytest
 from indexlab.arith import valuation
 from indexlab.errors import NotAField, NotApplicable, NotReduced, UnknownFamily
 from indexlab.families import (
-    CubicForm,
     cubic_predict,
-    cubic_reduce,
     family_polynomial,
     is_discrepancy,
     lehmer_quintic_predict,
@@ -24,30 +22,6 @@ from indexlab.families import (
 from indexlab.intpoly import IntPoly, parse_poly
 from indexlab.invariants import full_report
 from indexlab.numberfield import build_field
-
-
-def test_cubic_reduce_examples():
-    assert cubic_reduce(36, 216) == (1, 1)
-    assert cubic_reduce(13, 4) == (13, 4)
-    assert cubic_reduce(50, 250) == (2, 2)
-    with pytest.raises(NotAField):
-        cubic_reduce(0, 8)  # x^3 + 8 has the root -2
-
-
-def test_cubic_reduce_preserves_field():
-    rng = random.Random(71)
-    checked = 0
-    while checked < 15:
-        a = rng.randint(-20, 20) * 4
-        b = rng.randint(-15, 15) * 8
-        try:
-            a2, b2 = cubic_reduce(a, b)
-        except NotAField:
-            continue
-        k1 = build_field(IntPoly([b, -a, 0, 1]))
-        k2 = build_field(IntPoly([b2, -a2, 0, 1]))
-        assert k1.disc == k2.disc
-        checked += 1
 
 
 def test_cubic_predict_examples():
@@ -66,13 +40,6 @@ def test_cubic_predict_requires_reduced():
         cubic_predict(0, 8)
 
 
-def test_cubic_form_fields():
-    form = CubicForm.from_pair(13, 4)
-    assert form.delta == 8356
-    assert form.s2 == 2 and form.delta2 == 2089
-    assert form.delta2 % 8 == 1
-
-
 def test_cubic_beta_first_branch_witnesses():
     # rare branch: a = 3 mod 9, b^2 = a+1 mod 27, s3 > 6 even, delta3 = 1 mod 3
     p = cubic_predict(-393, -178)
@@ -83,6 +50,16 @@ def test_cubic_beta_first_branch_witnesses():
     assert p.i_pred == {3}
     r = full_report(build_field(IntPoly([142, 384, 0, 1])))
     assert r.i_K == 3 and r.I_K == 1
+    # a = 3 mod 9 and b^2 = a+1 mod 27, but s3 = 7 is odd, then s3 = 8 with
+    # delta3 = 2 mod 3: beta = 0 in both
+    p = cubic_predict(93, 16)
+    assert p.i_pred == {2} and p.I_pred == 1
+    r = full_report(build_field(IntPoly([16, -93, 0, 1])))
+    assert r.i_K == 2 and r.I_K == 1
+    p = cubic_predict(-96, 43)
+    assert p.i_pred == {2} and p.I_pred == 1
+    r = full_report(build_field(IntPoly([43, 96, 0, 1])))
+    assert r.i_K == 2 and r.I_K == 1
 
 
 def test_cubic_predict_consistency_common_divisor():

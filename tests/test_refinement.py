@@ -333,9 +333,8 @@ def test_kernel_contractions_match_exact_routines(poly):
     ]
     # the generator, every i witness and an element of 2A give nonzero values
     witnesses = [refinement.max_i_valuation(K, p)[1] for p in (2, 3, 5, 7)]
-    elements = [K.generator(), 2 * randoms[0]] + randoms + [
-        K.element(list(w[1])) for w in witnesses if w is not None
-    ]
+    elements = [K.generator(), K.element([2 * c for c in randoms[0].coords])]
+    elements += randoms + [K.element(list(w[1])) for w in witnesses if w is not None]
     coords = np.array([t.coords for t in elements], dtype=object)
     for mod in KERNEL_MODULI:
         table = refinement._np_table(K, mod)
