@@ -36,7 +36,7 @@ from .errors import (
 )
 from .intmatrix import det_rows, mat_mul, solve_lower_triangular
 from .intpoly import MAX_DEGREE, IntPoly, as_poly, poly_discriminant
-from .modpoly import ModPoly, factor_mod_p, gcd_mod
+from .modpoly import factor_mod_p
 
 
 # -- linear algebra over F_p (tiny dimensions) ------------------------------
@@ -391,11 +391,14 @@ def dedekind_test(f, p: int) -> bool:
     lifts g + p*a, h + p*b change T mod p by a*h + b*g, so any lifts do.
     """
     from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_sqf_list
+    from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_sqf_list
+
+    def bar(h):
+        return gf_from_int_poly(h.coeffs[::-1], p)
 
     f = as_poly(f)
     check_prime(p)
-    _, parts = gf_sqf_list(ZZ.map(ModPoly.from_intpoly(f, p).coeffs[::-1]), p, ZZ)
+    _, parts = gf_sqf_list(bar(f), p, ZZ)
     g_star = IntPoly([1])
     h_star = IntPoly([1])
     for g, e in parts:
@@ -404,10 +407,9 @@ def dedekind_test(f, p: int) -> bool:
         h_star = h_star * lift ** (e - 1)
     diff = g_star * h_star - f
     assert all(c % p == 0 for c in diff.coeffs)
-    t_bar = ModPoly(p, [c // p for c in diff.coeffs])
-    g_bar = ModPoly(p, g_star.coeffs)
-    h_bar = ModPoly(p, h_star.coeffs)
-    return gcd_mod(gcd_mod(t_bar, g_bar), h_bar).degree == 0
+    t_bar = gf_from_int_poly([c // p for c in diff.coeffs[::-1]], p)
+    z_bar = gf_gcd(gf_gcd(t_bar, bar(g_star), p, ZZ), bar(h_star), p, ZZ)
+    return len(z_bar) == 1
 
 
 # -- splitting types ---------------------------------------------------------

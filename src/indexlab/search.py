@@ -1,14 +1,16 @@
 """Constructive search for degree-n fields whose lcm invariant a given
 prime divides.
 
-The targeted construction picks at least p distinct monic irreducibles over
-F_p with degrees summing to n, multiplies them, and lifts the product to a
-monic integer polynomial.  Any irreducible lift works: the product is
-squarefree mod p, so the equation order is p-maximal, p then has >= p
-distinct prime factors, and p divides i(K).  The candidates are that product
-plus p times small perturbations below the leading term; for every
-2 <= n <= 7 and p <= n one of the first three is irreducible.  Every hit is
-re-verified through the exact engine before being returned.
+The targeted construction multiplies at least p distinct monic irreducibles
+over F_p with degrees summing to n, and takes the product over Z as a monic
+integer polynomial.  The factors are x + c for c = 0..p-1 when n = p; when
+n > p they are x + c for c = 0..p-2 and the least monic irreducible of
+degree n - p + 1, by ascending coefficient tuple.  Any irreducible lift
+works: the product is squarefree mod p, so the equation order is p-maximal,
+p then has >= p distinct prime factors, and p divides i(K).  The candidates
+are that product plus p times small perturbations below the leading term;
+for every 2 <= n <= 7 and p <= n one of the first three is irreducible.
+Every hit is re-verified through the exact engine before being returned.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .arith import check_prime
 from .errors import ReduciblePolynomial, SearchBudgetExhausted
 from .intpoly import IntPoly
 from .invariants import InvariantReport, full_report
-from .modpoly import monic_irreducibles
+from .modpoly import factor_mod_p
 from .numberfield import build_field
 
 DEFAULT_BUDGET = 20_000
@@ -33,16 +35,21 @@ class SearchResult:
     candidates_tried: int
 
 
+def _first_irreducible(p: int, d: int) -> IntPoly:
+    """Least monic irreducible of degree d over F_p, by ascending coefficients."""
+    for cs in itertools.product(range(p), repeat=d):
+        g = IntPoly(cs + (1,))
+        if [e for _, e in factor_mod_p(g, p).factors] == [1]:
+            return g
+
+
 def _target_product(n: int, p: int) -> IntPoly:
     """Lift of a product of >= p distinct irreducibles mod p, total degree n."""
-    if n == p:
-        parts = list(monic_irreducibles(p, 1))
-    else:
-        parts = list(monic_irreducibles(p, 1))[: p - 1]
-        parts.append(monic_irreducibles(p, n - p + 1)[0])
     out = IntPoly([1])
-    for g in parts:
-        out = out * IntPoly(g.coeffs)
+    for c in range(p if n == p else p - 1):
+        out = out * IntPoly([c, 1])
+    if n > p:
+        out = out * _first_irreducible(p, n - p + 1)
     assert out.degree == n
     return out
 

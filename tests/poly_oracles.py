@@ -12,6 +12,19 @@ def compose(f, inner):
     return out
 
 
+def rem_mod_p(f, g, p):
+    """Remainder of f by a monic g over F_p, as ascending coefficient lists
+    of length deg g."""
+    rem = [c % p for c in f]
+    d = len(g) - 1
+    for k in range(len(rem) - 1, d - 1, -1):
+        q = rem[k]
+        if q:
+            for j, c in enumerate(g):
+                rem[k - d + j] = (rem[k - d + j] - q * c) % p
+    return rem[:d]
+
+
 def mobius(d):
     out, q = 1, 2
     while d > 1:

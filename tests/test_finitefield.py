@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from indexlab.errors import ZeroModP
+from indexlab.arith import primes_upto
+from indexlab.errors import InvalidInput, ZeroModP
 from indexlab.intpoly import IntPoly, parse_poly
-from indexlab.modpoly import ModPoly, factor_mod_p, monic_irreducibles
+from indexlab.modpoly import ModPoly, factor_mod_p
+from indexlab.search import _first_irreducible
 
-from poly_oracles import monic_irreducible_count
+from poly_oracles import monic_irreducible_count, rem_mod_p
 
 
 def all_monic(p, degree):
@@ -27,18 +29,17 @@ def all_monic(p, degree):
 
 def product(fac):
     """unit * prod(g^e) of a factorization, multiplied back out."""
-    out = ModPoly(fac.p, [fac.unit])
+    out = IntPoly([fac.unit])
     for g, e in fac.factors:
-        for _ in range(e):
-            out = out * g
-    return out
+        out = out * IntPoly(g.coeffs) ** e
+    return ModPoly.from_intpoly(out, fac.p)
 
 
 def is_irreducible_bruteforce(f):
     """Oracle: no monic divisor of degree 1 .. deg/2."""
     for d in range(1, f.degree // 2 + 1):
         for g in all_monic(f.p, d):
-            if (f % g).is_zero:
+            if not any(rem_mod_p(f.coeffs, g.coeffs, f.p)):
                 return False
     return True
 
@@ -61,6 +62,12 @@ def test_factor_rejects_zero_mod_p():
         factor_mod_p(parse_poly("3*x^2 + 6"), 3)
 
 
+def test_factor_rejects_modpoly_over_another_prime():
+    # x^2 + 1 over F_7 is not a polynomial over F_5
+    with pytest.raises(InvalidInput):
+        factor_mod_p(ModPoly(7, [6, 0, 1]), 5)
+
+
 def test_factor_roundtrip_and_irreducibility_exhaustive():
     rng = random.Random(13)
     for p in (2, 3, 5, 7):
@@ -72,7 +79,7 @@ def test_factor_roundtrip_and_irreducibility_exhaustive():
             assert product(fac) == f
             assert sum(g.degree * e for g, e in fac.factors) == f.degree
             for g, _ in fac.factors:
-                assert g.lc == 1
+                assert g.coeffs[-1] == 1
                 assert is_irreducible_bruteforce(g)
             # factors pairwise distinct
             assert len({g.coeffs for g, _ in fac.factors}) == len(fac.factors)
@@ -80,12 +87,11 @@ def test_factor_roundtrip_and_irreducibility_exhaustive():
 
 def test_factor_high_multiplicity_char_p_cases():
     # (x+1)^4 mod 2 and x^9 + 2 = (x^3 + 2)^3 ... mod 3 exercise the p-power branch
-    f = ModPoly(2, [1, 1])
-    g = f * f * f * f
+    g = ModPoly.from_intpoly(IntPoly([1, 1]) ** 4, 2)
     fac = factor_mod_p(g, 2)
     assert [(list(h.coeffs), e) for h, e in fac.factors] == [([1, 1], 4)]
-    h = ModPoly(3, [2, 0, 0, 1])  # x^3 + 2, irreducible? x^3+2 = (x+2)^3 mod 3
-    cube = h * h * h
+    # x^3 + 2 = (x+2)^3 mod 3
+    cube = ModPoly.from_intpoly(IntPoly([2, 0, 0, 1]) ** 3, 3)
     fac = factor_mod_p(cube, 3)
     assert product(fac) == cube
     # (x + 1)^7 mod 7 = x^7 + 1
@@ -109,8 +115,7 @@ def test_factor_large_prime_path():
         for g, _ in fac.factors:
             assert g.degree in (1, 2)  # x^4+1 never stays irreducible mod p
     # (x^2 + 1)^3 (x + 5) mod 11: x^2 + 1 is irreducible since 11 = 3 mod 4
-    q = ModPoly(11, [1, 0, 1])
-    f = q * q * q * ModPoly(11, [5, 1])
+    f = ModPoly.from_intpoly(IntPoly([1, 0, 1]) ** 3 * IntPoly([5, 1]), 11)
     fac = factor_mod_p(f, 11)
     assert [(list(h.coeffs), e) for h, e in fac.factors] == [([5, 1], 1), ([1, 0, 1], 3)]
 
@@ -120,9 +125,15 @@ def test_count_matches_enumeration():
         for d in range(1, 5):
             enumerated = [f for f in all_monic(p, d) if is_irreducible_bruteforce(f)]
             assert monic_irreducible_count(d, p) == len(enumerated)
-            assert list(monic_irreducibles(p, d)) == sorted(
-                enumerated, key=ModPoly.sort_key
+    # the search's least irreducible of degree n - p + 1, for every n > p
+    for n in range(2, 8):
+        for p in primes_upto(n - 1):
+            d = n - p + 1
+            first = min(
+                (f for f in all_monic(p, d) if is_irreducible_bruteforce(f)),
+                key=ModPoly.sort_key,
             )
+            assert _first_irreducible(p, d).coeffs == first.coeffs
 
 
 def test_factor_output_deterministic():
