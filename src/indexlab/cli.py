@@ -118,7 +118,7 @@ def _report_to_json(report: InvariantReport, primes: list[int]) -> dict:
             },
         },
         "witness": {
-            "coords": list(report.witness.coords),
+            "coords": list(report.witness),
             "char_poly": list(report.witness_char_poly.coeffs),
         },
     }
@@ -140,7 +140,7 @@ def _report_to_tsv(report: InvariantReport, primes: list[int]) -> str:
             vi, vI = report.valuations[p]
             rows.append((f"valuations.{p}", f"{vi},{vI}"))
     rows.append(("witness.char_poly", str(report.witness_char_poly)))
-    rows.append(("witness.coords", ",".join(str(c) for c in report.witness.coords)))
+    rows.append(("witness.coords", ",".join(str(c) for c in report.witness)))
     return "\n".join(f"{k}\t{v}" for k, v in rows) + "\n"
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .arith import gcd_all, primes_upto
 from .intpoly import IntPoly
 from .numberfield import (
-    AlgebraicInt,
     NumberField,
     SplittingType,
     char_poly,
@@ -35,7 +34,7 @@ from .numberfield import (
 from .refinement import max_i_valuation, min_index_valuation
 
 
-def i_theta(field: NumberField, t: AlgebraicInt) -> int:
+def i_theta(field: NumberField, t) -> int:
     """gcd over all integers x of F_t(x), via the values at x = 0..n."""
     f = char_poly(field, t)
     return gcd_all(f(x) for x in range(field.degree + 1))
@@ -64,7 +63,7 @@ def maccluer_support(field: NumberField) -> frozenset[int]:
     )
 
 
-def good_element(field: NumberField) -> AlgebraicInt:
+def good_element(field: NumberField) -> tuple[int, ...]:
     """A primitive t whose value-gcd i(t) attains the field invariant i(K).
 
     Certified refinement classes attaining each v_p are combined by CRT
@@ -94,7 +93,7 @@ def good_element(field: NumberField) -> AlgebraicInt:
     return t
 
 
-def _primitive_lift(field: NumberField, coords, modulus: int) -> AlgebraicInt:
+def _primitive_lift(field: NumberField, coords, modulus: int) -> tuple[int, ...]:
     """The first primitive c + k*M*theta, k = 0, 1, ..., n(n-1)/2.
 
     Each candidate is c mod M, as theta has integer coordinates.  Two of
@@ -102,9 +101,9 @@ def _primitive_lift(field: NumberField, coords, modulus: int) -> AlgebraicInt:
     one of these n(n-1)/2 + 1 candidates has n distinct conjugates.
     """
     n = field.degree
-    theta = field.generator().coords
+    theta = field.generator()
     for k in range(n * (n - 1) // 2 + 1):
-        t = field.element([c + k * modulus * x for c, x in zip(coords, theta)])
+        t = tuple(c + k * modulus * x for c, x in zip(coords, theta))
         if is_primitive(field, t):
             return t
     raise AssertionError("no primitive c + k*M*theta below the proven bound")
@@ -121,7 +120,7 @@ class InvariantReport:
     i_K: int
     I_K: int
     valuations: dict[int, tuple[int, int]]  # p -> (v_p(i(K)), v_p(I(K)))
-    witness: AlgebraicInt
+    witness: tuple[int, ...]
     witness_char_poly: IntPoly
     maccluer: frozenset[int]
 

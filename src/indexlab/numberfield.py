@@ -10,10 +10,12 @@ involves 1, theta, ..., theta^i and the first basis vector is always 1.
 No general HNF is needed: the equation order's basis is the identity, and
 each enlargement multiplies the basis by another triangular one.
 
-Elements carry integer coordinates over the integral basis.  The index of a
-primitive element t is |det| of the matrix expressing 1, t, ..., t^(n-1)
-over the integral basis; its square times the field discriminant equals the
-discriminant of the characteristic polynomial of t.
+An element is the tuple of its integer coordinates over the integral basis;
+the field is passed beside it, never stored in it, and every function that
+takes an element checks that it has one coordinate per basis vector.  The
+index of a primitive element t is |det| of the matrix expressing 1, t, ...,
+t^(n-1) over the integral basis; its square times the field discriminant
+equals the discriminant of the characteristic polynomial of t.
 
 Prime splitting: when the equation order is p-maximal the splitting type is
 read off the factorization of f mod p; otherwise it is read off the
@@ -397,6 +399,8 @@ def dedekind_test(f, p: int) -> bool:
         return gf_from_int_poly(h.coeffs[::-1], p)
 
     f = as_poly(f)
+    if not f.is_monic:
+        raise InvalidInput("Dedekind criterion expects a monic polynomial")
     check_prime(p)
     _, parts = gf_sqf_list(bar(f), p, ZZ)
     g_star = IntPoly([1])
@@ -456,35 +460,6 @@ class SplittingType:
 # -- number fields and elements ----------------------------------------------
 
 
-class AlgebraicInt:
-    """Algebraic integer: coordinates over the field's integral basis."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field, coords):
-        cs = tuple(int(c) for c in coords)
-        if len(cs) != field.degree:
-            raise InvalidInput("coordinate length must match field degree")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", cs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("AlgebraicInt is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraicInt)
-            and other.field is self.field
-            and other.coords == self.coords
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.coords))
-
-    def __repr__(self):
-        return f"AlgebraicInt({list(self.coords)!r})"
-
-
 class NumberField:
     """Number field with exact integral basis, discriminant, and a memo."""
 
@@ -507,35 +482,41 @@ class NumberField:
     def times_table(self):
         return self._order.table
 
-    def element(self, coords) -> AlgebraicInt:
-        return AlgebraicInt(self, coords)
+    def _coords(self, t) -> tuple[int, ...]:
+        """The integer coordinates of t, whose length must be the degree."""
+        cs = tuple(int(c) for c in t)
+        if len(cs) != self.degree:
+            raise InvalidInput("coordinate length must match field degree")
+        return cs
 
-    def generator(self) -> AlgebraicInt:
+    def generator(self) -> tuple[int, ...]:
         """theta itself, written over the integral basis."""
         if self.degree == 1:
-            return AlgebraicInt(self, [-self.poly[0]])
+            return (-self.poly[0],)
         target = [0] * self.degree
         target[1] = self.den
         coords = solve_lower_triangular(self.basis_rows, target)
         assert coords is not None
-        return AlgebraicInt(self, coords)
+        return tuple(coords)
 
-    def mult_matrix(self, t: AlgebraicInt):
+    def mult_matrix(self, t):
         """Matrix (rows) of multiplication by t over the integral basis."""
         n = self.degree
+        t = self._coords(t)
         # row j is e_j * t (the table is symmetric); with e_j as the first
         # factor the product loop skips all but one outer entry
-        return [_mul(_unit(n, j), t.coords, self._order.table) for j in range(n)]
+        return [_mul(_unit(n, j), t, self._order.table) for j in range(n)]
 
-    def powers_matrix(self, t: AlgebraicInt):
+    def powers_matrix(self, t):
         """Rows: coordinates of 1, t, ..., t^(n-1) over the integral basis."""
         n = self.degree
+        t = self._coords(t)
         rows = [_unit(n, 0)]
         if n > 1:
-            cur = list(t.coords)
+            cur = list(t)
             rows.append(cur)
             for _ in range(n - 2):
-                cur = _mul(cur, t.coords, self._order.table)
+                cur = _mul(cur, t, self._order.table)
                 rows.append(cur)
         return rows
 
@@ -564,13 +545,13 @@ def build_field(f) -> NumberField:
 # -- characteristic polynomial, index, primitivity ----------------------------
 
 
-def char_poly(field: NumberField, t: AlgebraicInt) -> IntPoly:
+def char_poly(field: NumberField, t) -> IntPoly:
     """Monic degree-n characteristic polynomial of multiplication by t."""
     coeffs = _charpoly_rows(field.mult_matrix(t))
     return IntPoly(list(reversed(coeffs)))
 
 
-def index_of(field: NumberField, t: AlgebraicInt):
+def index_of(field: NumberField, t):
     """Index [A : Z[t]] for primitive t; INFINITY when t is not primitive."""
     d = det_rows(field.powers_matrix(t))
     if d == 0:
@@ -578,7 +559,7 @@ def index_of(field: NumberField, t: AlgebraicInt):
     return abs(d)
 
 
-def is_primitive(field: NumberField, t: AlgebraicInt) -> bool:
+def is_primitive(field: NumberField, t) -> bool:
     """True iff t generates the field (its power-basis matrix is nonsingular)."""
     return index_of(field, t) != INFINITY
 

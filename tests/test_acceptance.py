@@ -278,7 +278,7 @@ def test_c10_disc_index_identity():
         K = build_field(poly)
         done = 0
         while done < 200:
-            t = K.element([rng.randint(-9, 9) for _ in range(K.degree)])
+            t = [rng.randint(-9, 9) for _ in range(K.degree)]
             idx = index_of(K, t)
             if idx == INFINITY:
                 continue

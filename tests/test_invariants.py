@@ -10,6 +10,7 @@ import pytest
 
 from indexlab import cli, invariants, modpoly, numberfield
 from indexlab.arith import gcd_all, primes_upto, valuation, vp_factorial
+from indexlab.errors import InvalidInput
 from indexlab.families import family_polynomial
 from indexlab.intpoly import IntPoly, parse_poly
 from indexlab.invariants import (
@@ -56,8 +57,21 @@ def test_i_theta_matches_windowed_oracle():
     for poly in (DEDEKIND, "x^2 - 17", "x^3 - x + 3", "x^4 - x^3 - 6*x^2 + x + 1"):
         K = build_field(poly)
         for _ in range(50):
-            t = K.element([rng.randint(-6, 6) for _ in range(K.degree)])
+            t = [rng.randint(-6, 6) for _ in range(K.degree)]
             assert i_theta(K, t) == i_theta_oracle(K, t)
+
+
+def test_element_coordinates_must_match_the_degree():
+    K = build_field("x^3 - 2")
+    element_ops = (char_poly, index_of, is_primitive, i_theta)
+    for coords in ([1, 2], [1, 2, 3, 4]):
+        for op in element_ops:
+            with pytest.raises(InvalidInput):
+                op(K, coords)
+    # a tuple and a list with the same coordinates are the same element
+    for coords in ([1, 1, 0], [0, 0, 1], [5, 0, 0], list(K.generator())):
+        for op in element_ops:
+            assert op(K, coords) == op(K, tuple(coords))
 
 
 def test_vp_iK_examples():
@@ -105,7 +119,7 @@ def test_element_invariants_divide_field_invariants():
         r = full_report(K)
         sampled = 0
         while sampled < 150:
-            t = K.element([rng.randint(-8, 8) for _ in range(K.degree)])
+            t = [rng.randint(-8, 8) for _ in range(K.degree)]
             if not is_primitive(K, t):
                 continue
             sampled += 1
@@ -172,14 +186,14 @@ def test_primitive_lift_from_a_non_primitive_class(start):
         # theta + sigma^3(theta), with sigma(x) = (x - 1)/(x + 2) the
         # generator of the cyclic Galois group, lies in the cubic subfield
         c = [-62, -64, 18, 88, 48, -32]
-        assert char_poly(K, K.element(c)) == parse_poly("x^3 - 2*x^2 - 16*x - 8") ** 2
-    assert not is_primitive(K, K.element(c))
+        assert char_poly(K, c) == parse_poly("x^3 - 2*x^2 - 16*x - 8") ** 2
+    assert not is_primitive(K, c)
     t = invariants._primitive_lift(K, c, modulus)
     assert is_primitive(K, t)
-    step = [a - b for a, b in zip(t.coords, c)]
+    step = [a - b for a, b in zip(t, c)]
     assert all(x % modulus == 0 for x in step)
     # t = c + k*M*theta with k <= n(n-1)/2
-    theta = K.generator().coords
+    theta = K.generator()
     k = step[1] // (modulus * theta[1])
     assert step == [k * modulus * x for x in theta]
     assert 1 <= k <= n * (n - 1) // 2

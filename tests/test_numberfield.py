@@ -15,7 +15,12 @@ from math import gcd
 import pytest
 
 from indexlab.arith import INFINITY, primes_upto, valuation
-from indexlab.errors import DegreeOutOfScope, InvalidDegree, ReduciblePolynomial
+from indexlab.errors import (
+    DegreeOutOfScope,
+    InvalidDegree,
+    InvalidInput,
+    ReduciblePolynomial,
+)
 from indexlab.intmatrix import solve_lower_triangular
 from indexlab.intpoly import IntPoly, as_poly, parse_poly, poly_discriminant
 from indexlab.modpoly import factor_mod_p
@@ -157,6 +162,13 @@ def test_dedekind_criterion_examples():
     assert dedekind_test(DEDEKIND, 2) is False
     assert dedekind_test("x^3 - x + 3", 3) is True
     assert dedekind_test("x^2 - 17", 2) is False
+
+
+def test_dedekind_criterion_refuses_non_monic():
+    # the criterion assumes a monic f: 2x^2 + 2 and 2x^2 + 1 have no answer
+    for coeffs in ([2, 0, 2], [1, 0, 2]):
+        with pytest.raises(InvalidInput):
+            dedekind_test(coeffs, 2)
 
 
 def test_p_maximal_order_examples():
@@ -544,8 +556,8 @@ def test_general_split_at_large_index_primes(q):
         if K.index_valuations.get(q, 0):
             continue
         r = rng.randint(-5, 5)
-        theta = K.generator().coords
-        t = K.element([q * theta[0] + r] + [q * c for c in theta[1:]])
+        theta = K.generator()
+        t = [q * theta[0] + r] + [q * c for c in theta[1:]]
         K2 = build_field(char_poly(K, t))
         assert K2.index_valuations[q] > 0 and K2.disc == K.disc
         assert split_prime(K2, q) == split_prime(K, q)
@@ -587,10 +599,10 @@ def test_splitting_cache_is_write_once_and_threadsafe():
 
 def test_char_poly_examples():
     K = build_field(DEDEKIND)
-    assert char_poly(K, K.element([5, 0, 0])) == parse_poly("x^3 - 15*x^2 + 75*x - 125")
+    assert char_poly(K, [5, 0, 0]) == parse_poly("x^3 - 15*x^2 + 75*x - 125")
     assert char_poly(K, K.generator()) == K.poly
     K2 = build_field("x^2 - 2")
-    assert char_poly(K2, K2.element([1, 1])) == parse_poly("x^2 - 2*x - 1")
+    assert char_poly(K2, [1, 1]) == parse_poly("x^2 - 2*x - 1")
 
 
 def test_index_examples():
@@ -598,15 +610,15 @@ def test_index_examples():
     assert index_of(K, K.generator()) == 2
     K3 = build_field("x^3 - x + 3")
     assert index_of(K3, K3.generator()) == 1
-    assert index_of(K, K.element([5, 0, 0])) == INFINITY
+    assert index_of(K, [5, 0, 0]) == INFINITY
 
 
 def test_primitivity():
     K3 = build_field("x^3 - x + 3")
     g = K3.generator()
     assert is_primitive(K3, g)
-    assert is_primitive(K3, K3.element(K3.powers_matrix(g)[2]))
-    assert not is_primitive(K3, K3.element([7, 0, 0]))
+    assert is_primitive(K3, K3.powers_matrix(g)[2])
+    assert not is_primitive(K3, [7, 0, 0])
 
 
 def test_index_square_relation_random_elements():
@@ -617,7 +629,7 @@ def test_index_square_relation_random_elements():
         K = build_field(poly)
         done = 0
         while done < 40:
-            t = K.element([rng.randint(-9, 9) for _ in range(K.degree)])
+            t = [rng.randint(-9, 9) for _ in range(K.degree)]
             idx = index_of(K, t)
             f_t = char_poly(K, t)
             if idx == INFINITY:
@@ -632,6 +644,6 @@ def test_char_poly_of_basis_elements_integral():
     for poly in (DEDEKIND, "x^2 - 17", "x^6 - 2*x^5 - 25*x^4 - 20*x^3 + 10*x^2 + 10*x + 1"):
         K = build_field(poly)
         for i in range(K.degree):
-            t = K.element([1 if j == i else 0 for j in range(K.degree)])
+            t = [1 if j == i else 0 for j in range(K.degree)]
             cp = char_poly(K, t)
             assert cp.is_monic and cp.degree == K.degree

@@ -299,7 +299,7 @@ def test_charpoly_kernel_matches_exact_char_poly(poly):
     n = K.degree
     rng = random.Random(n)
     elements = [
-        K.element([rng.randint(-(10**6), 10**6) for _ in range(n)]) for _ in range(12)
+        [rng.randint(-(10**6), 10**6) for _ in range(n)] for _ in range(12)
     ]
     mult = [K.mult_matrix(t) for t in elements]
     # exact integer char polys (Faddeev-LeVerrier), descending coefficients
@@ -329,13 +329,13 @@ def test_kernel_contractions_match_exact_routines(poly):
     n = K.degree
     rng = random.Random(100 + n)
     randoms = [
-        K.element([rng.randint(-(10**6), 10**6) for _ in range(n)]) for _ in range(12)
+        [rng.randint(-(10**6), 10**6) for _ in range(n)] for _ in range(12)
     ]
     # the generator, every i witness and an element of 2A give nonzero values
     witnesses = [refinement.max_i_valuation(K, p)[1] for p in (2, 3, 5, 7)]
-    elements = [K.generator(), K.element([2 * c for c in randoms[0].coords])]
-    elements += randoms + [K.element(list(w[1])) for w in witnesses if w is not None]
-    coords = np.array([t.coords for t in elements], dtype=object)
+    elements = [K.generator(), [2 * c for c in randoms[0]]]
+    elements += randoms + [w[1] for w in witnesses if w is not None]
+    coords = np.array(elements, dtype=object)
     for mod in KERNEL_MODULI:
         table = refinement._np_table(K, mod)
         chunk = (coords % mod).astype(table.dtype)
