@@ -124,6 +124,10 @@ def _report_to_json(report: InvariantReport, primes: list[int]) -> dict:
     }
 
 
+def _splitting_text(pairs) -> str:
+    return "".join(f"({e},{f})" for e, f in pairs)
+
+
 def _report_to_tsv(report: InvariantReport, primes: list[int]) -> str:
     rows = [
         ("degree", str(report.degree)),
@@ -134,7 +138,7 @@ def _report_to_tsv(report: InvariantReport, primes: list[int]) -> str:
     ]
     for p in primes:
         if p in report.splittings:
-            rows.append((f"splitting.{p}", str(report.splittings[p])))
+            rows.append((f"splitting.{p}", _splitting_text(report.splittings[p])))
     for p in primes:
         if p in report.valuations:
             vi, vI = report.valuations[p]
@@ -276,8 +280,8 @@ def cmd_compare(args) -> int:
     if args.format == "json":
         sys.stdout.write(_dump_json(payload))
     else:
-        sys.stdout.write(f"splitting.1\t{s1}\n")
-        sys.stdout.write(f"splitting.2\t{s2}\n")
+        sys.stdout.write(f"splitting.1\t{_splitting_text(s1)}\n")
+        sys.stdout.write(f"splitting.2\t{_splitting_text(s2)}\n")
         sys.stdout.write(f"same_splitting\t{int(same)}\n")
         sys.stdout.write(f"valuations.1\t{v1[0]},{v1[1]}\n")
         sys.stdout.write(f"valuations.2\t{v2[0]},{v2[1]}\n")

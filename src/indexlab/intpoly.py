@@ -16,6 +16,7 @@ costs no memory.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import DegreeOutOfScope, InvalidDegree, InvalidInput, ParseError
@@ -30,7 +31,10 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
+        try:
+            cs = list(map(operator.index, coeffs))
+        except TypeError:
+            raise InvalidInput("polynomial coefficients must be integers") from None
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

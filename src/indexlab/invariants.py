@@ -26,7 +26,6 @@ from .arith import gcd_all, primes_upto
 from .intpoly import IntPoly
 from .numberfield import (
     NumberField,
-    SplittingType,
     char_poly,
     is_primitive,
     split_prime,
@@ -56,11 +55,7 @@ def vp_IK(field: NumberField, p: int) -> int:
 
 def maccluer_support(field: NumberField) -> frozenset[int]:
     """Primes p <= n with at least p distinct prime ideal factors."""
-    return frozenset(
-        p
-        for p in primes_upto(field.degree)
-        if split_prime(field, p).num_primes >= p
-    )
+    return frozenset(p for p in primes_upto(field.degree) if len(split_prime(field, p)) >= p)
 
 
 def good_element(field: NumberField) -> tuple[int, ...]:
@@ -116,7 +111,7 @@ class InvariantReport:
     poly: IntPoly
     degree: int
     field_disc: int
-    splittings: dict[int, SplittingType]
+    splittings: dict[int, tuple[tuple[int, int], ...]]  # p -> sorted (e, f)
     i_K: int
     I_K: int
     valuations: dict[int, tuple[int, int]]  # p -> (v_p(i(K)), v_p(I(K)))

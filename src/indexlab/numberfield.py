@@ -3,10 +3,11 @@
 A field is built by maximalizing the equation order Z[theta] at every prime
 whose square divides disc(f): the radical of pO is the kernel of
 x -> x^(p^k) (p^k >= n), its ring of multipliers enlarges the order, and the
-loop repeats until stable.  The integral basis is stored as a
-lower-triangular HNF matrix over the power basis with one common
-denominator, so basis vector i only
-involves 1, theta, ..., theta^i and the first basis vector is always 1.
+loop repeats until stable.  Every order on the way is a `NumberField`, and
+the field is the last one, the maximal order.  The integral basis is stored
+as a lower-triangular HNF matrix over the power basis with one common
+denominator, so basis vector i only involves 1, theta, ..., theta^i and the
+first basis vector is always 1.
 No general HNF is needed: the equation order's basis is the identity, and
 each enlargement multiplies the basis by another triangular one.
 
@@ -17,17 +18,19 @@ index of a primitive element t is |det| of the matrix expressing 1, t, ...,
 t^(n-1) over the integral basis; its square times the field discriminant
 equals the discriminant of the characteristic polynomial of t.
 
-Prime splitting: when the equation order is p-maximal the splitting type is
-read off the factorization of f mod p; otherwise it is read off the
-Frobenius x -> x^p on the finite algebra A/pA: its fixed space is spanned by
-the idempotents of the local components, and a high enough power of it maps
-each component onto its residue field.  Round-2 and the split read one
-Frobenius record per (order, p) from the order's memo (see `_frobenius`).
+Prime splitting: the splitting type of p is the sorted tuple of its (e, f)
+pairs.  When the equation order is p-maximal it is read off the
+factorization of f mod p; otherwise it is read off the Frobenius x -> x^p
+on the finite algebra A/pA: its fixed space is spanned by the idempotents
+of the local components, and a high enough power of it maps each component
+onto its residue field.  Round-2 and the split read one Frobenius record
+per (order, p) from the order's memo (see `_frobenius`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from .arith import INFINITY, check_prime, divisors, square_divisor_primes
 from .errors import (
@@ -162,36 +165,47 @@ def _check_defining_poly(f) -> IntPoly:
 # -- orders ------------------------------------------------------------------
 
 
-class _Order:
-    """Order in Q[x]/(f): lower-triangular HNF basis over the power basis.
+class NumberField:
+    """An order of Q[x]/(f), with its discriminant, index and a memo.
 
-    `w_rows` is lower-triangular with a positive diagonal.  Past the
-    content, row i's entry in column j is reduced into [0, w[j][j]) for
-    j = i-1 down to 0; row j is 0 past column j, so no step undoes an
+    `build_field` returns the maximal order, the ring of integers, and every
+    order Round-2 passes through on the way is one of these too.
+    `basis_rows` over the common denominator `den` is lower-triangular with
+    a positive diagonal over the power basis.  Past the content, row i's
+    entry in column j is reduced into [0, d_j), d_j row j's diagonal entry,
+    for j = i-1 down to 0; row j is 0 past column j, so no step undoes an
     earlier one.  The lattice and the diagonal stay, so this is the
-    lattice's Hermite normal form, which is unique.
+    lattice's Hermite normal form, which is unique.  `index` is
+    [O : Z[theta]], and `index_valuations` maps each prime at which Round-2
+    enlarged the order to v_p(index).
     """
 
-    __slots__ = ("poly", "n", "den", "w", "table", "_memo")
-
-    def __init__(self, poly, w_rows, den):
+    def __init__(self, poly, basis_rows, den, poly_disc, index_valuations):
         self.poly = poly
-        self.n = poly.degree
+        self.degree = n = poly.degree
         g = den
-        for row in w_rows:
+        for row in basis_rows:
             for x in row:
                 if x:
                     g = math.gcd(g, x)
-        w = [[x // g for x in row] for row in w_rows]
-        for i in range(self.n):
+        w = [[x // g for x in row] for row in basis_rows]
+        for i in range(n):
             for j in range(i - 1, -1, -1):
                 q = w[i][j] // w[j][j]
                 if q:
                     w[i] = [a - q * b for a, b in zip(w[i], w[j])]
         self.den = den // g
-        self.w = w
-        assert self.w[0][0] == self.den, "order must contain 1"
-        self.table = self._times_table()
+        self.basis_rows = tuple(tuple(r) for r in w)
+        assert w[0][0] == self.den, "order must contain 1"
+        self.poly_disc = poly_disc
+        diag = math.prod(w[i][i] for i in range(n))
+        assert self.den**n % diag == 0
+        self.index = self.den**n // diag
+        self.index_valuations = index_valuations
+        assert self.poly_disc % (self.index * self.index) == 0
+        self.disc = self.poly_disc // (self.index * self.index)
+        assert self.disc % 4 in (0, 1), "discriminant must be 0 or 1 mod 4"
+        self.times_table = self._times_table()
         self._memo = {}
 
     def memo(self, key, compute):
@@ -207,7 +221,7 @@ class _Order:
 
     def _power_table(self):
         """Coordinates of x^k mod f over the power basis, k = 0 .. 2n-2."""
-        n = self.n
+        n = self.degree
         f = self.poly
         powers = [_unit(n, k) for k in range(n)]
         if n >= 2:
@@ -223,16 +237,17 @@ class _Order:
         return powers
 
     def _times_table(self):
-        n = self.n
+        n = self.degree
+        w = self.basis_rows
         powers = self._power_table()
         den = self.den
         table = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 conv = [0] * (2 * n - 1)
-                for a, ca in enumerate(self.w[i]):
+                for a, ca in enumerate(w[i]):
                     if ca:
-                        for b, cb in enumerate(self.w[j]):
+                        for b, cb in enumerate(w[j]):
                             if cb:
                                 conv[a + b] += ca * cb
                 u = [0] * n
@@ -243,25 +258,60 @@ class _Order:
                             u[t] += c * pk[t]
                 assert all(x % den == 0 for x in u), "product left the order lattice"
                 u = [x // den for x in u]
-                coords = solve_lower_triangular(self.w, u)
+                coords = solve_lower_triangular(w, u)
                 assert coords is not None, "order is not multiplicatively closed"
                 table[i][j] = tuple(coords)
                 table[j][i] = tuple(coords)
         return tuple(tuple(row) for row in table)
 
-    def basis_index(self):
-        """Index of the power-basis lattice Z[theta] in this order."""
-        det = 1
-        for i in range(self.n):
-            det *= self.w[i][i]
-        num = self.den**self.n
-        assert num % det == 0
-        return num // det
+    def _coords(self, t) -> tuple[int, ...]:
+        """The integer coordinates of t, whose length must be the degree."""
+        try:
+            cs = tuple(map(operator.index, t))
+        except TypeError:
+            raise InvalidInput("coordinates must be integers") from None
+        if len(cs) != self.degree:
+            raise InvalidInput("coordinate length must match field degree")
+        return cs
+
+    def generator(self) -> tuple[int, ...]:
+        """theta itself, written over the integral basis."""
+        if self.degree == 1:
+            return (-self.poly[0],)
+        target = [0] * self.degree
+        target[1] = self.den
+        coords = solve_lower_triangular(self.basis_rows, target)
+        assert coords is not None
+        return tuple(coords)
+
+    def mult_matrix(self, t):
+        """Matrix (rows) of multiplication by t over the integral basis."""
+        n = self.degree
+        t = self._coords(t)
+        # row j is e_j * t (the table is symmetric); with e_j as the first
+        # factor the product loop skips all but one outer entry
+        return [_mul(_unit(n, j), t, self.times_table) for j in range(n)]
+
+    def powers_matrix(self, t):
+        """Rows: coordinates of 1, t, ..., t^(n-1) over the integral basis."""
+        n = self.degree
+        t = self._coords(t)
+        rows = [_unit(n, 0)]
+        if n > 1:
+            cur = list(t)
+            rows.append(cur)
+            for _ in range(n - 2):
+                cur = _mul(cur, t, self.times_table)
+                rows.append(cur)
+        return rows
+
+    def __repr__(self):
+        return f"NumberField({self.poly}, disc={self.disc})"
 
 
-def _equation_order(f) -> _Order:
+def _equation_order(f) -> NumberField:
     n = f.degree
-    return _Order(f, [_unit(n, i) for i in range(n)], 1)
+    return NumberField(f, [_unit(n, i) for i in range(n)], 1, poly_discriminant(f), {})
 
 
 def _mod_table(table, p):
@@ -305,15 +355,16 @@ def _frobenius(order, p):
     T is the times table mod p, Phi the matrix (rows e_i^p) of the F_p-linear
     x -> x^p, and Phi^k (k - 1 products, k >= 1 least with p^k >= n) that
     of x -> x^(p^k): its kernel is the nilradical, its image the product of
-    the coefficient fields (see `_split_via_algebra`).  A field shares its
-    order's memo, so the split at the last prime Round-2 enlarged at reuses
-    Round-2's last record; at an earlier prime a later enlargement changed
-    the basis, and the split builds the record once on the final order.
+    the coefficient fields (see `_split_via_algebra`).  The field is the
+    last order Round-2 built, so the split at the last prime Round-2
+    enlarged at reuses Round-2's last record; at an earlier prime a later
+    enlargement changed the basis, and the split builds the record once on
+    the field.
     """
 
     def compute():
-        n = order.n
-        table = _mod_table(order.table, p)
+        n = order.degree
+        table = _mod_table(order.times_table, p)
         phi = [_alg_pow(_unit(n, i), p, table, p) for i in range(n)]
         phi_k, q = phi, p
         while q < n:
@@ -344,40 +395,42 @@ def _lattice_mod_p(vectors, p, n):
 def _radical_rows(order, p):
     """HNF basis of the radical of p*O inside O: the pullback of ker Phi^k."""
     phi_k = _frobenius(order, p)[2]
-    return _lattice_mod_p(_left_nullspace_mod_p(phi_k, p), p, order.n)
+    return _lattice_mod_p(_left_nullspace_mod_p(phi_k, p), p, order.degree)
 
 
 def _enlarge_at_p(order, p):
-    """One multiplier-ring step; returns (possibly new order, v_p index gained)."""
-    n = order.n
+    """One multiplier-ring step: the larger order, or `order` if p-maximal."""
+    n = order.degree
     rad = _radical_rows(order, p)
     big = []
     for i in range(n):
         flat = []
         e = _unit(n, i)
         for j in range(n):
-            u = _mul(e, rad[j], order.table)
+            u = _mul(e, rad[j], order.times_table)
             z = solve_lower_triangular(rad, u)
             assert z is not None, "radical is not an ideal"
             flat.extend(z)
         big.append([x % p for x in flat])
     kernel = _left_nullspace_mod_p(big, p)
     if not kernel:
-        return order, 0
+        return order
     # the kernel rows are independent mod p, so the new order, (p*Z^n +
     # span(kernel)) / p over the old basis, has index p^len(kernel) over
     # the old one: a nonempty kernel always gains
     rel = _lattice_mod_p(kernel, p, n)
-    return _Order(order.poly, mat_mul(rel, order.w), order.den * p), len(kernel)
+    valuations = dict(order.index_valuations)
+    valuations[p] = valuations.get(p, 0) + len(kernel)
+    rows = mat_mul(rel, order.basis_rows)
+    return NumberField(order.poly, rows, order.den * p, order.poly_disc, valuations)
 
 
 def _p_maximalize(order, p):
-    total = 0
     while True:
-        order, gain = _enlarge_at_p(order, p)
-        if gain == 0:
-            return order, total
-        total += gain
+        larger = _enlarge_at_p(order, p)
+        if larger is order:
+            return order
+        order = larger
 
 
 # -- public operations on defining polynomials ------------------------------
@@ -416,130 +469,19 @@ def dedekind_test(f, p: int) -> bool:
     return len(z_bar) == 1
 
 
-# -- splitting types ---------------------------------------------------------
-
-
-class SplittingType:
-    """Multiset of (ramification index e, residue degree f) pairs for a prime."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        ps = tuple(sorted((int(e), int(f)) for e, f in pairs))
-        if any(e < 1 or f < 1 for e, f in ps):
-            raise InvalidInput("splitting pairs must be >= 1")
-        object.__setattr__(self, "pairs", ps)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SplittingType is immutable")
-
-    @property
-    def residue_sum(self) -> int:
-        return sum(e * f for e, f in self.pairs)
-
-    @property
-    def num_primes(self) -> int:
-        return len(self.pairs)
-
-    def __eq__(self, other):
-        return isinstance(other, SplittingType) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __str__(self):
-        return "".join(f"({e},{f})" for e, f in self.pairs)
-
-    def __repr__(self):
-        return f"SplittingType({list(self.pairs)!r})"
-
-
-# -- number fields and elements ----------------------------------------------
-
-
-class NumberField:
-    """Number field with exact integral basis, discriminant, and a memo."""
-
-    def __init__(self, order: _Order, index_valuations: dict[int, int], poly_disc: int):
-        self._order = order
-        self.poly = order.poly
-        self.degree = order.n
-        self.den = order.den
-        self.basis_rows = tuple(tuple(r) for r in order.w)
-        self.poly_disc = poly_disc
-        self.index = order.basis_index()
-        self.index_valuations = dict(index_valuations)
-        assert self.poly_disc % (self.index * self.index) == 0
-        self.disc = self.poly_disc // (self.index * self.index)
-        assert self.disc % 4 in (0, 1), "field discriminant must be 0 or 1 mod 4"
-        # one memo per field: its order's (see `_Order.memo`)
-        self.memo = order.memo
-
-    @property
-    def times_table(self):
-        return self._order.table
-
-    def _coords(self, t) -> tuple[int, ...]:
-        """The integer coordinates of t, whose length must be the degree."""
-        cs = tuple(int(c) for c in t)
-        if len(cs) != self.degree:
-            raise InvalidInput("coordinate length must match field degree")
-        return cs
-
-    def generator(self) -> tuple[int, ...]:
-        """theta itself, written over the integral basis."""
-        if self.degree == 1:
-            return (-self.poly[0],)
-        target = [0] * self.degree
-        target[1] = self.den
-        coords = solve_lower_triangular(self.basis_rows, target)
-        assert coords is not None
-        return tuple(coords)
-
-    def mult_matrix(self, t):
-        """Matrix (rows) of multiplication by t over the integral basis."""
-        n = self.degree
-        t = self._coords(t)
-        # row j is e_j * t (the table is symmetric); with e_j as the first
-        # factor the product loop skips all but one outer entry
-        return [_mul(_unit(n, j), t, self._order.table) for j in range(n)]
-
-    def powers_matrix(self, t):
-        """Rows: coordinates of 1, t, ..., t^(n-1) over the integral basis."""
-        n = self.degree
-        t = self._coords(t)
-        rows = [_unit(n, 0)]
-        if n > 1:
-            cur = list(t)
-            rows.append(cur)
-            for _ in range(n - 2):
-                cur = _mul(cur, t, self._order.table)
-                rows.append(cur)
-        return rows
-
-    def __repr__(self):
-        return f"NumberField({self.poly}, disc={self.disc})"
-
-
 def build_field(f) -> NumberField:
-    """Construct the number field defined by the monic irreducible f (deg <= 7).
+    """The maximal order of the field of the monic irreducible f (deg <= 7).
 
-    The resulting order is p-maximal at every prime with p^2 | disc(f), so it
-    is the full ring of integers; .disc is the exact field discriminant.
+    The order is p-maximal at every prime with p^2 | disc(f), so it is the
+    full ring of integers; .disc is the exact field discriminant.
     """
     f = _check_defining_poly(f)
-    disc_f = poly_discriminant(f)
     order = _equation_order(f)
-    index_valuations: dict[int, int] = {}
-    for p in square_divisor_primes(disc_f):
-        if dedekind_test(f, p):
-            continue
-        # Dedekind's criterion is an iff, so this gain is at least 1
-        order, index_valuations[p] = _p_maximalize(order, p)
-    return NumberField(order, index_valuations, disc_f)
+    for p in square_divisor_primes(order.poly_disc):
+        # Dedekind's criterion is an iff, so Round-2 gains wherever it fails
+        if not dedekind_test(f, p):
+            order = _p_maximalize(order, p)
+    return order
 
 
 # -- characteristic polynomial, index, primitivity ----------------------------
@@ -567,12 +509,11 @@ def is_primitive(field: NumberField, t) -> bool:
 # -- prime splitting -----------------------------------------------------------
 
 
-def _split_via_poly(field: NumberField, p: int) -> SplittingType:
-    fac = factor_mod_p(field.poly, p)
-    return SplittingType((e, g.degree) for g, e in fac.factors)
+def _split_via_poly(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((e, g.degree) for g, e in factor_mod_p(field.poly, p)))
 
 
-def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
+def _split_via_algebra(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     """Read the splitting type of p off Frobenius on A = O/pO.
 
     A is the product of the local algebras A_i = O/P_i^(e_i), and A_i has
@@ -594,10 +535,10 @@ def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
       E_i on which v equals c.  Refining by every vector of a basis of the
       fixed space separates all the components.
 
-    T, Phi and Phi^k are the `_frobenius` record of the field's order.
+    T, Phi and Phi^k are the field's `_frobenius` record.
     """
     n = field.degree
-    table, phi, image = _frobenius(field._order, p)
+    table, phi, image = _frobenius(field, p)
 
     def mul(u, v):
         return _alg_mul_mod_p(u, v, table, p)
@@ -617,13 +558,11 @@ def _split_via_algebra(field: NumberField, p: int) -> SplittingType:
         dim = _rank_mod_p([mul(e, _unit(n, a)) for a in range(n)], p)
         assert dim % f_deg == 0
         pairs.append((dim // f_deg, f_deg))
-    st = SplittingType(pairs)
-    assert st.residue_sum == n
-    return st
+    return tuple(sorted(pairs))
 
 
-def split_prime(field: NumberField, p: int) -> SplittingType:
-    """Exact splitting type {(e_i, f_i)} of p in the field.
+def split_prime(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
+    """Exact splitting type of p in the field: the sorted (e_i, f_i) pairs.
 
     Fast path reads the factorization of the defining polynomial mod p when
     the equation order is p-maximal; otherwise the quotient algebra A/pA is
@@ -637,7 +576,7 @@ def split_prime(field: NumberField, p: int) -> SplittingType:
             st = _split_via_poly(field, p)
         else:
             st = _split_via_algebra(field, p)
-        assert st.residue_sum == field.degree
+        assert sum(e * f for e, f in st) == field.degree
         return st
 
     return field.memo(("split", p), compute)

@@ -39,7 +39,7 @@ def _first_irreducible(p: int, d: int) -> IntPoly:
     """Least monic irreducible of degree d over F_p, by ascending coefficients."""
     for cs in itertools.product(range(p), repeat=d):
         g = IntPoly(cs + (1,))
-        if [e for _, e in factor_mod_p(g, p).factors] == [1]:
+        if [e for _, e in factor_mod_p(g, p)] == [1]:
             return g
 
 

@@ -60,4 +60,4 @@ def g_p(p, weights):
 
 def vp_i_from_splitting(st, p):
     """v_p(i(K)) predicted from the splitting type of p."""
-    return g_p(p, [e * f for e, f in st.pairs])
+    return g_p(p, [e * f for e, f in st])

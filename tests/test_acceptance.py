@@ -25,7 +25,6 @@ from indexlab.families import (
 from indexlab.intpoly import IntPoly, poly_discriminant
 from indexlab.invariants import full_report
 from indexlab.numberfield import (
-    SplittingType,
     build_field,
     char_poly,
     index_of,
@@ -305,7 +304,7 @@ def test_c12_dedekind_example():
     ok = (
         r.I_K % 2 == 0
         and r.i_K % 2 == 0
-        and split_prime(K, 2) == SplittingType([(1, 1), (1, 1), (1, 1)])
+        and split_prime(K, 2) == ((1, 1), (1, 1), (1, 1))
     )
     _note(12, ok, f"I={r.I_K} i={r.i_K} splitting {split_prime(K, 2)}")
     assert ok

@@ -22,7 +22,6 @@ from indexlab.invariants import (
     vp_iK,
 )
 from indexlab.numberfield import (
-    SplittingType,
     build_field,
     char_poly,
     index_of,
@@ -245,7 +244,7 @@ def test_frobenius_record_is_built_once_per_order_and_shared_with_the_split(monk
 
     def split(field, p):
         # splits run once per (field, p), so a record already on the
-        # field's order is the one Round-2's last step at p built
+        # field is the one Round-2's last step at p built
         reused.append(builds[id(field.times_table), p] == 1)
         return real_split(field, p)
 
@@ -333,7 +332,7 @@ def test_local_degree_oracle_known_cases():
         for p in primes_upto(n):
             assert g_p(p, [1] * n) == vp_factorial(n, p)
     assert g_p(2, [3, 3]) == 3
-    assert vp_i_from_splitting(SplittingType([(1, 1), (1, 2)]), 2) == 1
+    assert vp_i_from_splitting(((1, 1), (1, 2)), 2) == 1
 
 
 def test_vp_iK_matches_the_local_degree_oracle():

@@ -10,8 +10,9 @@ import random
 import threading
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
+import numpy as np
 import pytest
 
 from indexlab.arith import INFINITY, primes_upto, valuation
@@ -25,7 +26,6 @@ from indexlab.intmatrix import solve_lower_triangular
 from indexlab.intpoly import IntPoly, as_poly, parse_poly, poly_discriminant
 from indexlab.modpoly import factor_mod_p
 from indexlab.numberfield import (
-    SplittingType,
     _enlarge_at_p,
     _equation_order,
     _frobenius,
@@ -47,7 +47,7 @@ DEDEKIND = "x^3 - x^2 - 2*x - 8"
 def round2_gain(f, p):
     """v_p of the index of Z[theta] in its p-maximal overorder, from the
     Round-2 loop alone (no Dedekind pre-filter)."""
-    return _p_maximalize(_equation_order(as_poly(f)), p)[1]
+    return _p_maximalize(_equation_order(as_poly(f)), p).index_valuations.get(p, 0)
 
 
 def charpoly_over_q(mult_rows):
@@ -202,7 +202,7 @@ def test_dedekind_agrees_with_round2():
             f = g**p * h + IntPoly([p * rng.randint(-3, 3) for _ in range(n)])
         if not is_irreducible(f):
             continue
-        pth_powers += any(e >= p for _, e in factor_mod_p(f, p).factors)
+        pth_powers += any(e >= p for _, e in factor_mod_p(f, p))
         for q in (2, 3, 5, 7):
             assert dedekind_test(f, q) == (round2_gain(f, q) == 0), (f, q)
         checked += 1
@@ -278,10 +278,10 @@ def test_round2_orders_are_in_hermite_normal_form():
         for p in primes_upto(7):
             if disc % (p * p):
                 continue
-            order, gain = _p_maximalize(_equation_order(f), p)
-            gains += gain > 0
-            assert_lower_hnf(order.w)
-            assert order.w[0][0] == order.den
+            order = _p_maximalize(_equation_order(f), p)
+            gains += p in order.index_valuations
+            assert_lower_hnf(order.basis_rows)
+            assert order.basis_rows[0][0] == order.den
     assert gains >= 20
 
 
@@ -408,11 +408,11 @@ def frobenius_fixed_counts(field, p):
 
 def test_split_examples():
     K = build_field(DEDEKIND)
-    assert split_prime(K, 2) == SplittingType([(1, 1), (1, 1), (1, 1)])
+    assert split_prime(K, 2) == ((1, 1), (1, 1), (1, 1))
     K17 = build_field("x^2 - 17")
-    assert split_prime(K17, 2) == SplittingType([(1, 1), (1, 1)])
+    assert split_prime(K17, 2) == ((1, 1), (1, 1))
     K2 = build_field("x^2 - 2")
-    assert split_prime(K2, 2) == SplittingType([(2, 1)])
+    assert split_prime(K2, 2) == ((2, 1),)
 
 
 def test_split_oracles_small_fields():
@@ -430,12 +430,12 @@ def test_split_oracles_small_fields():
     for poly, p in cases:
         K = build_field(poly)
         st = _split_via_algebra(K, p)
-        assert st.residue_sum == K.degree
-        assert idempotent_count(K, p) == 2**st.num_primes
+        assert sum(e * f for e, f in st) == K.degree
+        assert idempotent_count(K, p) == 2 ** len(st)
         fixed = frobenius_fixed_counts(K, p)
         for k, observed in fixed.items():
             expected = 1
-            for _, f in st.pairs:
+            for _, f in st:
                 expected *= p ** gcd(k, f)
             assert observed == expected
 
@@ -451,7 +451,15 @@ def test_split_fast_and_general_paths_agree():
         K = build_field(f)
         for p in (2, 3, 5, 7):
             if K.index_valuations.get(p, 0) == 0:
-                assert split_prime(K, p) == _split_via_algebra(K, p)
+                routes = (split_prime(K, p), _split_via_algebra(K, p))
+                assert routes[0] == routes[1]
+                # both are ascending tuples of (e, f) pairs of Python ints
+                assert all(
+                    type(st) is tuple
+                    and list(st) == sorted(st)
+                    and all(type(ef) is tuple and list(map(type, ef)) == [int, int] for ef in st)
+                    for st in routes
+                )
         checked += 1
     # many splits: prod (x - r_i) + c*p^k at p = 5, 7, so the Frobenius-fixed
     # vectors take several values in F_p and most c in F_p select a part
@@ -468,14 +476,14 @@ def test_split_fast_and_general_paths_agree():
         if K.index_valuations.get(p, 0) == 0:
             st = split_prime(K, p)
             assert st == _split_via_algebra(K, p), (f, p)
-            many[st.num_primes] += 1
+            many[len(st)] += 1
     assert sum(n for primes, n in many.items() if primes >= 3) >= 12
 
 
 def frobenius_oracle(order, p):
     """Rows e_i^p and e_i^(p^k), p^k >= n, by multiplying e_i into itself
     one factor at a time under the order's times table, mod p."""
-    n = order.n
+    n = order.degree
     q = p
     while q < n:
         q *= p
@@ -484,7 +492,7 @@ def frobenius_oracle(order, p):
         out = [0] * n
         for i in range(n):
             for j in range(n):
-                for k, c in enumerate(order.table[i][j]):
+                for k, c in enumerate(order.times_table[i][j]):
                     out[k] += u[i] * v[j] * c
         return [x % p for x in out]
 
@@ -517,18 +525,21 @@ def test_frobenius_matches_repeated_multiplication():
             continue
         orders = [_equation_order(f)]
         while True:  # every order Round-2 passes through at p
-            order, gain = _enlarge_at_p(orders[-1], p)
-            if not gain:
+            order = _enlarge_at_p(orders[-1], p)
+            if order is orders[-1]:
                 break
             orders.append(order)
         intermediate += len(orders) - 1
-        orders.append(build_field(f)._order)
+        orders.append(build_field(f))
         final += 1
         for order in orders:
-            n = order.n
+            # each order records the index it gained at each prime
+            assert prod(q**v for q, v in order.index_valuations.items()) == order.index
+            assert order.disc * order.index**2 == order.poly_disc
+            n = order.degree
             table, phi, phi_k = _frobenius(order, p)
             times, phi_oracle, phi_k_oracle = frobenius_oracle(order, p)
-            assert table == [[[c % p for c in tij] for tij in row] for row in order.table]
+            assert table == [[[c % p for c in tij] for tij in row] for row in order.times_table]
             assert (phi, phi_k) == (phi_oracle, phi_k_oracle), (f, p)
             # Phi is F_p-linear: v * Phi is the p-th power of v
             for _ in range(3):
@@ -603,6 +614,29 @@ def test_char_poly_examples():
     assert char_poly(K, K.generator()) == K.poly
     K2 = build_field("x^2 - 2")
     assert char_poly(K2, [1, 1]) == parse_poly("x^2 - 2*x - 1")
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, "3"])
+def test_non_integer_coefficients_and_coordinates_are_refused(bad):
+    K = build_field("x^3 - 2")
+    with pytest.raises(InvalidInput):
+        IntPoly([bad, 1])
+    with pytest.raises(InvalidInput):
+        build_field([bad, 0, 1])
+    with pytest.raises(InvalidInput):
+        char_poly(K, [bad, 0, 0])
+    with pytest.raises(InvalidInput):
+        index_of(K, [0, bad, 0])
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_numpy_integer_coordinates_match_python_ints(dtype):
+    K = build_field("x^3 - 2")
+    t = [3, -1, 2]
+    expected = char_poly(K, t)
+    got = char_poly(K, np.array(t, dtype=dtype))
+    assert got == expected and all(type(c) is int for c in got.coeffs)
+    assert index_of(K, np.array(t, dtype=dtype)) == index_of(K, t)
 
 
 def test_index_examples():

@@ -161,7 +161,7 @@ def test_degree5_with_two_split_completely():
     # five split primes over 2: 3 evens and 2 odds give 4 pairs equal mod 2,
     # and 1 more pair among the evens is equal mod 4, so v_2(I) = 5
     K = build_field(roots_plus(5, 4096))
-    assert str(split_prime(K, 2)) == "(1,1)" * 5
+    assert split_prime(K, 2) == ((1, 1),) * 5
     r = full_report(K)
     assert r.valuations[2] == (3, 5)
     assert (r.i_K, r.I_K) == (8, 32)
@@ -173,7 +173,7 @@ def test_index_valuations_multiply_to_the_basis_index():
         K = build_field(poly)
         assert math.prod(p**v for p, v in K.index_valuations.items()) == K.index
         for p, v in K.index_valuations.items():
-            assert v == _p_maximalize(_equation_order(as_poly(poly)), p)[1]
+            assert v == _p_maximalize(_equation_order(as_poly(poly)), p).index_valuations.get(p, 0)
 
 
 # one field per degree 2..7
