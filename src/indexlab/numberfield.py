@@ -1,9 +1,10 @@
 """Number fields of degree <= 7 from defining polynomials.
 
 A field is built by maximalizing the equation order Z[theta] at every prime
-whose square divides disc(f): the radical of pO is the kernel of
-x -> x^(p^k) (p^k >= n), its ring of multipliers enlarges the order, and the
-loop repeats until stable.  Every order on the way is a `NumberField`, and
+whose square divides disc(f).  Where Dedekind's criterion fails, its
+Z[theta] + (U(theta)/p)*Z[theta] is the first step; the multiplier ring of
+the radical of pO, the kernel of x -> x^(p^k) (p^k >= n), enlarges it while
+p^2 divides its discriminant.  Every order on the way is a `NumberField`, and
 the field is the last one, the maximal order.  The integral basis is stored
 as a lower-triangular HNF matrix over the power basis with one common
 denominator, so basis vector i only involves 1, theta, ..., theta^i and the
@@ -29,6 +30,7 @@ per (order, p) from the order's memo (see `_frobenius`).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -205,7 +207,6 @@ class NumberField:
         assert self.poly_disc % (self.index * self.index) == 0
         self.disc = self.poly_disc // (self.index * self.index)
         assert self.disc % 4 in (0, 1), "discriminant must be 0 or 1 mod 4"
-        self.times_table = self._times_table()
         self._memo = {}
 
     def memo(self, key, compute):
@@ -236,7 +237,10 @@ class NumberField:
                 powers.append(cur)
         return powers
 
-    def _times_table(self):
+    @functools.cached_property
+    def times_table(self):
+        """Coordinates of e_i * e_j over the basis, built on first use: many
+        orders Round-2 passes through are replaced before a step reads it."""
         n = self.degree
         w = self.basis_rows
         powers = self._power_table()
@@ -355,11 +359,11 @@ def _frobenius(order, p):
     T is the times table mod p, Phi the matrix (rows e_i^p) of the F_p-linear
     x -> x^p, and Phi^k (k - 1 products, k >= 1 least with p^k >= n) that
     of x -> x^(p^k): its kernel is the nilradical, its image the product of
-    the coefficient fields (see `_split_via_algebra`).  The field is the
-    last order Round-2 built, so the split at the last prime Round-2
-    enlarged at reuses Round-2's last record; at an earlier prime a later
-    enlargement changed the basis, and the split builds the record once on
-    the field.
+    the coefficient fields (see `_split_via_algebra`).  The split reuses a
+    Round-2 record only where Round-2's last step at p ran on the field: a
+    step that gained nothing, at the last prime enlarged.  Where Dedekind's
+    step or the discriminant stop ended the loop, or a later prime changed
+    the basis, the split builds the record once on the field.
     """
 
     def compute():
@@ -398,6 +402,15 @@ def _radical_rows(order, p):
     return _lattice_mod_p(_left_nullspace_mod_p(phi_k, p), p, order.degree)
 
 
+def _extend(order, vectors, p):
+    """The order (p*O + span(vectors)) / p, for vectors over O's basis that
+    are independent mod p, so that it has index p^len(vectors) over O."""
+    valuations = dict(order.index_valuations)
+    valuations[p] = valuations.get(p, 0) + len(vectors)
+    rows = mat_mul(_lattice_mod_p(vectors, p, order.degree), order.basis_rows)
+    return NumberField(order.poly, rows, order.den * p, order.poly_disc, valuations)
+
+
 def _enlarge_at_p(order, p):
     """One multiplier-ring step: the larger order, or `order` if p-maximal."""
     n = order.degree
@@ -413,48 +426,39 @@ def _enlarge_at_p(order, p):
             flat.extend(z)
         big.append([x % p for x in flat])
     kernel = _left_nullspace_mod_p(big, p)
-    if not kernel:
-        return order
-    # the kernel rows are independent mod p, so the new order, (p*Z^n +
-    # span(kernel)) / p over the old basis, has index p^len(kernel) over
-    # the old one: a nonempty kernel always gains
-    rel = _lattice_mod_p(kernel, p, n)
-    valuations = dict(order.index_valuations)
-    valuations[p] = valuations.get(p, 0) + len(kernel)
-    rows = mat_mul(rel, order.basis_rows)
-    return NumberField(order.poly, rows, order.den * p, order.poly_disc, valuations)
+    # the kernel rows are independent mod p, so a nonempty kernel always gains
+    return _extend(order, kernel, p) if kernel else order
 
 
 def _p_maximalize(order, p):
-    while True:
+    # disc(O) = disc(K) * [O_K : O]^2: once p^2 no longer divides disc(O), p
+    # cannot divide [O_K : O]; before that, a step that gains nothing ends it
+    while order.disc % (p * p) == 0:
         larger = _enlarge_at_p(order, p)
         if larger is order:
-            return order
+            break
         order = larger
+    return order
 
 
 # -- public operations on defining polynomials ------------------------------
 
 
-def dedekind_test(f, p: int) -> bool:
-    """True iff the equation order Z[x]/(f) is p-maximal (Dedekind criterion).
+def _dedekind(f, p):
+    """(Z, U) mod p of Dedekind's criterion for the monic f, descending.
 
     With monic lifts g of rad(f mod p) and h of (f mod p)/g, and
-    T = (g*h - f)/p, it is p-maximal iff T, g, h are coprime mod p (Cohen,
+    T = (g*h - f)/p, Z = gcd(T, g, h) mod p and U = (f mod p)/Z (Cohen,
     GTM 138, ch. 6).  The squarefree decomposition f = prod s_e^e mod p
     gives g = prod s_e and h = prod s_e^(e-1) without factoring further;
     lifts g + p*a, h + p*b change T mod p by a*h + b*g, so any lifts do.
     """
     from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_sqf_list
+    from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_quo, gf_sqf_list
 
     def bar(h):
         return gf_from_int_poly(h.coeffs[::-1], p)
 
-    f = as_poly(f)
-    if not f.is_monic:
-        raise InvalidInput("Dedekind criterion expects a monic polynomial")
-    check_prime(p)
     _, parts = gf_sqf_list(bar(f), p, ZZ)
     g_star = IntPoly([1])
     h_star = IntPoly([1])
@@ -466,7 +470,17 @@ def dedekind_test(f, p: int) -> bool:
     assert all(c % p == 0 for c in diff.coeffs)
     t_bar = gf_from_int_poly([c // p for c in diff.coeffs[::-1]], p)
     z_bar = gf_gcd(gf_gcd(t_bar, bar(g_star), p, ZZ), bar(h_star), p, ZZ)
-    return len(z_bar) == 1
+    return z_bar, gf_quo(bar(f), z_bar, p, ZZ)
+
+
+def dedekind_test(f, p: int) -> bool:
+    """True iff the equation order Z[x]/(f) is p-maximal (Dedekind
+    criterion): iff Z of `_dedekind`, which `build_field` reads, is 1."""
+    f = as_poly(f)
+    if not f.is_monic:
+        raise InvalidInput("Dedekind criterion expects a monic polynomial")
+    check_prime(p)
+    return len(_dedekind(f, p)[0]) == 1
 
 
 def build_field(f) -> NumberField:
@@ -478,9 +492,15 @@ def build_field(f) -> NumberField:
     f = _check_defining_poly(f)
     order = _equation_order(f)
     for p in square_divisor_primes(order.poly_disc):
-        # Dedekind's criterion is an iff, so Round-2 gains wherever it fails
-        if not dedekind_test(f, p):
-            order = _p_maximalize(order, p)
+        z_bar, u_bar = _dedekind(f, p)
+        if m := len(z_bar) - 1:
+            # Round-2's first step is Z[theta] + (U(theta)/p)*Z[theta] (Cohen,
+            # GTM 138, Thm 6.1.4): U(theta)*theta^j, j < m, independent mod p,
+            # over the current basis, which an earlier prime may have enlarged
+            u = [int(c) for c in reversed(u_bar)]
+            targets = ([order.den * c for c in [0] * j + u + [0] * (m - 1 - j)] for j in range(m))
+            vectors = [solve_lower_triangular(order.basis_rows, t) for t in targets]
+            order = _p_maximalize(_extend(order, vectors, p), p)
     return order
 
 

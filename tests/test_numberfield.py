@@ -15,22 +15,24 @@ from math import gcd, prod
 import numpy as np
 import pytest
 
-from indexlab.arith import INFINITY, primes_upto, valuation
+from indexlab import numberfield
+from indexlab.arith import INFINITY, primes_upto, square_divisor_primes, valuation
 from indexlab.errors import (
     DegreeOutOfScope,
     InvalidDegree,
     InvalidInput,
     ReduciblePolynomial,
 )
+from indexlab.families import family_polynomial
 from indexlab.intmatrix import solve_lower_triangular
 from indexlab.intpoly import IntPoly, as_poly, parse_poly, poly_discriminant
 from indexlab.modpoly import factor_mod_p
 from indexlab.numberfield import (
+    _dedekind,
     _enlarge_at_p,
     _equation_order,
     _frobenius,
     _lattice_mod_p,
-    _p_maximalize,
     _split_via_algebra,
     build_field,
     char_poly,
@@ -41,13 +43,24 @@ from indexlab.numberfield import (
     split_prime,
 )
 
+from round2_oracle import strata
+
 DEDEKIND = "x^3 - x^2 - 2*x - 8"
 
 
+def round2_order(f, p):
+    """The p-maximal overorder of Z[theta] by multiplier-ring steps alone,
+    repeated until the order stops changing: no Dedekind step and no
+    discriminant stop."""
+    order = _equation_order(as_poly(f))
+    while (larger := _enlarge_at_p(order, p)) is not order:
+        order = larger
+    return order
+
+
 def round2_gain(f, p):
-    """v_p of the index of Z[theta] in its p-maximal overorder, from the
-    Round-2 loop alone (no Dedekind pre-filter)."""
-    return _p_maximalize(_equation_order(as_poly(f)), p).index_valuations.get(p, 0)
+    """v_p of the index of Z[theta] in its p-maximal overorder."""
+    return round2_order(f, p).index_valuations.get(p, 0)
 
 
 def charpoly_over_q(mult_rows):
@@ -278,11 +291,86 @@ def test_round2_orders_are_in_hermite_normal_form():
         for p in primes_upto(7):
             if disc % (p * p):
                 continue
-            order = _p_maximalize(_equation_order(f), p)
+            order = round2_order(f, p)
             gains += p in order.index_valuations
             assert_lower_hnf(order.basis_rows)
             assert order.basis_rows[0][0] == order.den
     assert gains >= 20
+
+
+def record_round2_loops(monkeypatch):
+    """(p, order in, order out) of each `_p_maximalize` call; in
+    `build_field` the order in is the one Dedekind's step built."""
+    loops = []
+    real = numberfield._p_maximalize
+
+    def recording(order, p):
+        out = real(order, p)
+        loops.append((p, order, out))
+        return out
+
+    monkeypatch.setattr(numberfield, "_p_maximalize", recording)
+    return loops
+
+
+# random fields of degree 2 to 7 and prod (x - r_i) + c with c = +-p^k or
+# +-p^k*q^l, the last often enlarged at two primes
+ROUND2_CORPUS = [f for _, fields in strata(random.Random(5), 40) for f in fields]
+
+
+def test_dedekind_order_is_round2_first_step(monkeypatch):
+    loops = record_round2_loops(monkeypatch)
+    on_equation_order = on_enlarged_order = 0
+    for f in ROUND2_CORPUS:
+        loops.clear()
+        K = build_field(f)
+        failing = [p for p in square_divisor_primes(K.poly_disc) if not dedekind_test(f, p)]
+        assert [p for p, _, _ in loops] == failing
+        base = _equation_order(f)
+        for p, dedekind, out in loops:
+            # the step at a later prime is written over the basis that an
+            # earlier prime's enlargement changed
+            on_enlarged_order += bool(base.index_valuations)
+            on_equation_order += not base.index_valuations
+            step = _enlarge_at_p(base, p)
+            assert (dedekind.basis_rows, dedekind.den, dedekind.index_valuations) == (
+                step.basis_rows, step.den, step.index_valuations
+            ), (f, p)
+            assert dedekind.index_valuations[p] == len(_dedekind(f, p)[0]) - 1
+            base = out
+        assert not loops or base is K
+    assert on_equation_order >= 40 and on_enlarged_order >= 10
+
+
+def test_discriminant_stop_skips_only_confirmations(monkeypatch):
+    loops = record_round2_loops(monkeypatch)
+    by_disc = 0
+    for f in ROUND2_CORPUS:
+        loops.clear()
+        K = build_field(f)
+        # the confirmation step the loop may skip would gain nothing
+        for p in square_divisor_primes(K.poly_disc):
+            assert _enlarge_at_p(K, p) is K, (f, p)
+        by_disc += sum(out.disc % (p * p) != 0 for p, _, out in loops)
+    assert by_disc >= 20
+
+
+def test_round2_steps_on_simplest_sextics(monkeypatch):
+    steps = []
+    real = numberfield._enlarge_at_p
+
+    def counting(order, p):
+        steps.append(p)
+        return real(order, p)
+
+    monkeypatch.setattr(numberfield, "_enlarge_at_p", counting)
+    for m in range(1, 61):
+        f = family_polynomial("simplest_sextic", m)
+        if is_irreducible(f):
+            build_field(f)
+    # multiplier-ring steps from the equation order, each loop ended by a
+    # step that gains nothing, take 275 steps on these fields
+    assert len(steps) <= 117
 
 
 # basis_rows and den of fields with a Round-2 gain, degrees 3 to 7, as the
