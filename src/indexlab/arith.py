@@ -2,7 +2,7 @@
 
 All functions are exact.  Python's built-in int is the arbitrary-precision
 integer type used throughout the package; nothing here ever rounds.
-Primality is sympy's `isprime`, imported on first use, not with the package.
+Primality is a sieve below 2^10, and above sympy's `isprime`, imported on use.
 `factorint` trial-divides by the primes below 2^10 (done, without sympy,
 once p^2 exceeds the rest), splits a composite rest by Brent's rho for at
 most _RHO_STEPS steps, and leaves to `sympy.factorint` what rho cannot split.
@@ -34,7 +34,9 @@ _SMALL_PRIMES = primes_upto((1 << 10) - 1)
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test (sympy's)."""
+    """Exact primality test: the sieve below 2^10, sympy's above."""
+    if n < 1 << 10:
+        return n in _SMALL_PRIMES
     from sympy import isprime
 
     return bool(isprime(n))

@@ -84,7 +84,8 @@ def good_element(field: NumberField) -> tuple[int, ...]:
         coords = [c + modulus * ((w - c) * inv_m % q) for c, w in zip(coords, wcoords)]
         modulus *= q
     t = _primitive_lift(field, coords, modulus)
-    assert i_theta(field, t) == i_k, "witness does not attain the invariant"
+    f = field.memo(("char_poly", t), lambda: char_poly(field, t))  # the report reads it
+    assert gcd_all(f(x) for x in range(n + 1)) == i_k, "witness does not attain the invariant"
     return t
 
 
@@ -149,6 +150,6 @@ def _build_report(field: NumberField) -> InvariantReport:
         I_K=math.prod(p**vI for p, (_, vI) in valuations.items()),
         valuations=valuations,
         witness=witness,
-        witness_char_poly=char_poly(field, witness),
+        witness_char_poly=field.memo(("char_poly", witness), lambda: char_poly(field, witness)),
         maccluer=maccluer_support(field),
     )

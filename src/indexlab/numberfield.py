@@ -20,12 +20,12 @@ t^(n-1) over the integral basis; its square times the field discriminant
 equals the discriminant of the characteristic polynomial of t.
 
 Prime splitting: the splitting type of p is the sorted tuple of its (e, f)
-pairs.  When the equation order is p-maximal it is read off the
-factorization of f mod p; otherwise it is read off the Frobenius x -> x^p
-on the finite algebra A/pA: its fixed space is spanned by the idempotents
-of the local components, and a high enough power of it maps each component
-onto its residue field.  Round-2 and the split read one Frobenius record
-per (order, p) from the order's memo (see `_frobenius`).
+pairs.  When the equation order is p-maximal it is read off the squarefree
+and distinct-degree factorizations of f mod p; otherwise it is read off the
+Frobenius x -> x^p on the finite algebra A/pA: its fixed space is spanned
+by the idempotents of the local components, and a high enough power of it
+maps each component onto its residue field.  Round-2 and the split read one
+Frobenius record per (order, p) from the order's memo (see `_frobenius`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .errors import (
 )
 from .intmatrix import det_rows, mat_mul, solve_lower_triangular
 from .intpoly import MAX_DEGREE, IntPoly, as_poly, poly_discriminant
-from .modpoly import factor_mod_p
 
 
 # -- linear algebra over F_p (tiny dimensions) ------------------------------
@@ -212,9 +211,9 @@ class NumberField:
     def memo(self, key, compute):
         """The value under `key`, from `compute()` on its first use.
 
-        Frobenius records, splitting types, reduced times tables, search
-        results and the report are kept here.  The first value stored wins
-        (`dict.setdefault`), so racing callers all get the same object.
+        Frobenius records, splits, reduced times tables, search levels and
+        results, the witness's char poly and the report live here.  The first
+        stored wins (`dict.setdefault`): racing callers get the same object.
         """
         if key in self._memo:
             return self._memo[key]
@@ -530,7 +529,13 @@ def is_primitive(field: NumberField, t) -> bool:
 
 
 def _split_via_poly(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((e, g.degree) for g, e in factor_mod_p(field.poly, p)))
+    """The (e, f) pairs of f mod p from its squarefree and distinct-degree parts."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_from_int_poly, gf_sqf_list
+
+    _, parts = gf_sqf_list(gf_from_int_poly(field.poly.coeffs[::-1], p), p, ZZ)
+    pairs = ((e, d, len(h) - 1) for g, e in parts for h, d in gf_ddf_zassenhaus(g, p, ZZ))
+    return tuple(sorted((e, d) for e, d, deg in pairs for _ in range(deg // d)))
 
 
 def _split_via_algebra(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
@@ -584,8 +589,8 @@ def _split_via_algebra(field: NumberField, p: int) -> tuple[tuple[int, int], ...
 def split_prime(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     """Exact splitting type of p in the field: the sorted (e_i, f_i) pairs.
 
-    Fast path reads the factorization of the defining polynomial mod p when
-    the equation order is p-maximal; otherwise the quotient algebra A/pA is
+    Fast path reads the degrees of the factors of the defining polynomial
+    mod p when the equation order is p-maximal; otherwise the algebra A/pA is
     decomposed into local components.  Results are memoised per field, and
     the first one stored wins.
     """

@@ -56,7 +56,7 @@ that attains it is the first undecided class in list order: the witness
 that evaluating the whole level would give.  The level is evaluated in list
 order, a prefix of _HEAD classes first and the rest, if there is any, in
 one more batch, so a level of more than _HEAD classes with no undecided
-class costs one extra batch call.
+class costs one extra batch call; a shared level 1 (below) comes whole.
 
 min_index_valuation tracks w = v_p(det of the power-basis matrix).  The
 generator's class certifies at level v_p([A : Z[theta]]) + 1 at the latest,
@@ -69,41 +69,40 @@ result is the exact minimum over primitive elements.
 Neither search needs a level bound to stop; a level too large for memory
 raises MemoryError, which the CLI reports with exit 4.
 
-Both searches evaluate a level with one routine, _profile, in vectorized
-batches of at most _CHUNK classes, with a max/min reduction at the level
-barrier; they differ only in the residues whose valuation it takes, the
-char poly's values at x = 0..n (_char_values) or the power-basis
-determinant (_index_dets).  _CHUNK is small enough that a batch's (n, n, B)
-matrices stay in cache across the Berkowitz steps.  A batch is laid out
-batch last: one einsum over the times table gives the (n, n, B)
-multiplication matrices, _index_dets builds the power-basis matrices from
-them, one Berkowitz kernel works on whole contiguous (B,) rows of either,
-and one more einsum evaluates the char polys at x = 0..n.  Each chunk of
-classes is cast straight to the kernel's width: every class a search
-passes is a residue below p^m (level 1 holds digits below p, and _children
-adds multiples of p^m to residues below p^m).  Arithmetic runs in that
-width with explicit reduction mod p^m; the times table and the powers of x
-are stored in it, and every other array takes its inputs' type.
+Both searches evaluate levels with one routine, _profile, on segments of
+classes that share a modulus M: level m of one search at p has M = p^m, and
+level 1 of both searches at the primes of _shared(n) (the primes p <= n in
+ascending order while their product keeps the kernel in int16: M = 2, 6 or
+30 for n <= 7, as 210 needs int32) is one pass mod their product, kept in
+the field's memo; each class takes its valuation at its own prime from its
+residues mod M.  So p = 7 keeps its own pass, and its prefix at the bound.
+_profile works in batches of at most _CHUNK classes, small enough to stay in
+cache, laid out batch last: an einsum over the times table gives the
+(n, n, B) multiplication matrices, _power_rows the index classes'
+power-basis matrices, one Berkowitz kernel takes both on whole (B,) rows
+(a power-basis char poly's constant term is +- the determinant), and an
+einsum evaluates the char polys at x = 0..n.  Every class is a residue
+below M (level 1 holds digits below p, and _children adds multiples of p^m
+to residues below p^m), so each chunk is cast straight to the kernel's
+width, which the times table and the powers of x are stored in.
 
-_reduce computes x mod p^m as x - (x // p^m) * p^m: numpy divides an
-integer array by a scalar with a multiply and a shift (Granlund and
-Montgomery, PLDI 1994), while its `%` by a scalar is not vectorized.  Floor
-division puts (x // p^m) * p^m in (x - p^m, x], so the result lies in
-[0, p^m) for x of either sign.  Every operand is a residue below p^m, and
-every value the kernel reduces is a sum of at most n + 1 <= 8 products of
-two residues, or the negation of one: the contraction with the times
-table, the row products (negated), the column products and the polynomial
-product in Berkowitz, a power step of the power-basis matrix, and a char
-poly's value at x = 0..n against the powers of x reduced mod p^m.
-Berkowitz reduces each step's q[1] = -a_ii and q[2 + j] = -row . S^j C
-together, once; S^j C itself is reduced at every j, because it feeds the
-next product.  So every value before its reduction has
-|x| <= (n + 1)(p^m - 1)^2, and (x // p^m) * p^m is less than p^m further
-from 0.  Hence _width picks int16 when (n + 1)(p^m - 1)^2 + p^m < 2^15, for
-n <= 7 when p^m <= 64 (|x| <= 8 * 63^2 = 31752), and int32 up to p^m =
-2^14 (|x| <= 2^31 - 2^18 + 8).  For n <= 7 the modulus never passes
-2^13.  The i search stops by level v_p(n!) <= 4, so it runs at p^m <= 16,
-in int16.
+_reduce computes x mod M as x - (x // M) * M: numpy divides an integer
+array by a scalar with a multiply and a shift (Granlund and Montgomery,
+PLDI 1994), while its `%` by a scalar is not vectorized.  Floor division
+puts (x // M) * M in (x - M, x], so the result lies in [0, M) for x of
+either sign.  Every operand is a residue below M, and every value the
+kernel reduces is a sum of at most n + 1 <= 8 products of two residues, or
+the negation of one: the contraction with the times table, the row
+products (negated), the column products and the polynomial product in
+Berkowitz, a power step of the power-basis matrix, and a char poly's value
+at x = 0..n against the powers of x reduced mod M.  Berkowitz reduces each
+step's q[1] = -a_ii and q[2 + j] = -row . S^j C together, once; S^j C
+itself is reduced at every j, because it feeds the next product.  So every
+value before its reduction has |x| <= (n + 1)(M - 1)^2, and (x // M) * M
+is less than M further from 0.  Hence _width picks int16 when
+(n + 1)(M - 1)^2 + M < 2^15, for n <= 7 when M <= 64 (|x| <= 8 * 63^2 =
+31752), and int32 up to M = 2^14 (|x| <= 2^31 - 2^18 + 8).  The i search
+stops by level v_p(n!) <= 4, so it runs at p^m <= 16, in int16.
 The index search stops by level v_p(I(K)) + 1, and v_p(I(K)) <= 12 for
 n <= 7 (Engstrom, Trans. AMS 32, 1930): the worst case is 2 splitting
 completely in degree 7, where at least 9 pairs of the seven 2-adic
@@ -117,7 +116,7 @@ import functools
 
 import numpy as np
 
-from .arith import check_prime, vp_factorial
+from .arith import check_prime, primes_upto, vp_factorial
 from .numberfield import _mod_table
 
 _INT32_SAFE_MOD = 1 << 14
@@ -230,7 +229,7 @@ def _charpoly_batch(mats, mod: int):
 
 
 def _min_vp(values, p: int, m: int):
-    """Per-column min p-valuation of residues in [0, p^m); m stands for 'all zero'."""
+    """Per-column min p-valuation of residues mod p^m or a multiple; m stands for 'all zero'."""
     v = np.full(values.shape[1:], m, dtype=np.int64)
     for k in range(m):
         quot = values // p  # p | x iff x == (x // p) * p; `%` is slower
@@ -249,38 +248,73 @@ def _mult_matrices(table, chunk, mod: int):
     return _reduce(np.einsum("kij,kb->ijb", table, np.ascontiguousarray(chunk.T)), mod)
 
 
-def _char_values(mult, mod: int):
-    """F(x) mod `mod` at x = 0..n, per class: the (n + 1, B) values."""
-    n = mult.shape[0]
-    # each value F(x) at x = 0..n is a sum of n + 1 products of two residues
-    cp = _charpoly_batch(mult, mod)
-    return _reduce(np.einsum("xk,kb->xb", _powers(n, mod), cp), mod)
+def _char_values(cp, mod: int):
+    """F(x) mod `mod` at x = 0..n from the (n + 1, B) char polys: (n + 1, B)."""
+    return _reduce(np.einsum("xk,kb->xb", _powers(len(cp) - 1, mod), cp), mod)
 
 
-def _index_dets(mult, mod: int):
-    """The power-basis determinant mod `mod`, up to sign, per class: (1, B)."""
+def _power_rows(mult, mod: int):
+    """The (n, n, B) power-basis matrices: row k holds the coordinates of t^k."""
     n = mult.shape[0]
-    pw = np.zeros_like(mult)  # row k holds the coordinates of t^k
+    pw = np.zeros_like(mult)
     pw[0, 0] = 1
-    if n > 1:
-        pw[1] = mult[0]  # e_0 t = t: basis vector 0 is 1
-        for k in range(2, n):
-            _reduce(np.einsum("ib,ijb->jb", pw[k - 1], mult, out=pw[k]), mod)
-    return _charpoly_batch(pw, mod)[n:]  # +- det; the sign is irrelevant
+    pw[1] = mult[0]  # e_0 t = t: basis vector 0 is 1; the searches have n >= 2
+    for k in range(2, n):
+        _reduce(np.einsum("ib,ijb->jb", pw[k - 1], mult, out=pw[k]), mod)
+    return pw
 
 
-def _profile(field, p: int, m: int, classes, values):
-    """Min valuation of `values(mult, p^m)` per class (m = undecided); the
-    classes must be residues in [0, p^m)."""
-    mod = p**m
+def _profile(field, mod: int, m: int, segments):
+    """Per segment (p, classes, index), the min p-valuation per class (m =
+    undecided) of the char poly's values at x = 0..n, or with `index` set of
+    the power-basis determinant.  The segments share the modulus `mod`, a
+    multiple of p^m; their classes are residues in [0, mod), index ones last."""
     assert mod <= _INT32_SAFE_MOD
-    out = np.empty(len(classes), dtype=np.int64)
     table = _np_table(field, mod)
-    for lo in range(0, len(classes), _CHUNK):
-        chunk = classes[lo : lo + _CHUNK].astype(table.dtype)
-        mult = _mult_matrices(table, chunk, mod)
-        out[lo : lo + len(chunk)] = _min_vp(values(mult, mod), p, m)
-    return out
+    if len(segments) == 1:  # cast a chunk at a time: a deep level's whole copy is large
+        stream = segments[0][1]
+    else:
+        stream = np.concatenate([c for _, c, _ in segments], dtype=table.dtype, casting="unsafe")
+    ends = np.cumsum([len(c) for _, c, _ in segments]).tolist()
+    chars = sum(len(c) for _, c, index in segments if not index)
+    out = np.empty(len(stream), dtype=np.int64)
+    for lo in range(0, len(stream), _CHUNK):
+        chunk = stream[lo : lo + _CHUNK].astype(table.dtype)
+        k = min(max(chars - lo, 0), len(chunk))  # the char-poly classes lead
+        mats = _mult_matrices(table, chunk, mod)
+        if k < len(chunk):
+            mats = np.concatenate((mats[..., :k], _power_rows(mats[..., k:], mod)), axis=2)
+        cp = _charpoly_batch(mats, mod)
+        values = (_char_values(cp[:, :k], mod), cp[-1:])  # column j: class lo + j
+        for (p, c, index), end in zip(segments, ends):
+            a, b = max(end - len(c), lo), min(end, lo + len(chunk))
+            if a < b:
+                out[a:b] = _min_vp(values[index][:, a - lo : b - lo], p, m)
+    return [out[end - len(c) : end] for (_, c, _), end in zip(segments, ends)]
+
+
+@functools.cache
+def _shared(n: int):
+    """The ascending primes p <= n whose product keeps int16, and that product."""
+    primes = primes_upto(n)
+    while _width(n, int(np.prod(primes))) is not np.int16:
+        primes.pop()
+    return tuple(primes), int(np.prod(primes))
+
+
+def _level_one(field, p: int, index: bool):
+    """Level 1 of one search at p from the field's shared pass; None if p has none."""
+    primes, mod = _shared(field.degree)
+    if p not in primes:
+        return None
+
+    def compute():
+        segments = [(q, _all_classes(q, field.degree), False) for q in primes]
+        segments += [(q, c, True) for q, c, _ in segments if field.index_valuations.get(q)]
+        profiles = _profile(field, mod, 1, segments)
+        return {(q, idx): _frozen(pr) for (q, _, idx), pr in zip(segments, profiles)}
+
+    return field.memo("level_one", compute)[p, index]
 
 
 # -- public searches -----------------------------------------------------------
@@ -303,18 +337,15 @@ def max_i_valuation(field, p: int):
     classes = _all_classes(p, n)
     m = 1
     while True:
-        if m < bound:
-            profile = _profile(field, p, m, classes, _char_values)
-        else:
-            # an undecided class is worth exactly the bound, more than any
-            # certified one: the first is the witness, so try a prefix first
-            profile = _profile(field, p, m, classes[:_HEAD], _char_values)
-            if (profile < m).all() and len(classes) > _HEAD:
-                rest = _profile(field, p, m, classes[_HEAD:], _char_values)
+        if m > 1 or (profile := _level_one(field, p, False)) is None:
+            # at the bound the first undecided class is the witness: try a prefix
+            head = len(classes) if m < bound else _HEAD
+            profile = _profile(field, p**m, m, [(p, classes[:head], False)])[0]
+            if (profile < m).all() and len(classes) > head:
+                rest = _profile(field, p**m, m, [(p, classes[head:], False)])[0]
                 profile = np.concatenate((profile, rest))
-            undecided = np.flatnonzero(profile >= m)
-            if len(undecided):
-                return bound, (m, tuple(int(x) for x in classes[undecided[0]]))
+        if m == bound and len(undecided := np.flatnonzero(profile >= m)):
+            return bound, (m, tuple(int(x) for x in classes[undecided[0]]))
         certified = profile < m
         if certified.any():
             w = int(profile[certified].max())
@@ -345,7 +376,8 @@ def min_index_valuation(field, p: int) -> int:
     classes = _all_classes(p, n)
     m = 1
     while len(classes):
-        profile = _profile(field, p, m, classes, _index_dets)
+        if m > 1 or (profile := _level_one(field, p, True)) is None:
+            profile = _profile(field, p**m, m, [(p, classes, True)])[0]
         certified = profile < m
         if certified.any():
             best = min(best, int(profile[certified].min()))

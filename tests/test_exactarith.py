@@ -176,6 +176,16 @@ def test_valuation_additive():
         assert valuation(a * b, p) == valuation(a, p) + valuation(b, p)
 
 
+def test_is_prime_matches_sympy_below_and_above_the_sieve():
+    from sympy import isprime
+
+    # the sieve answers below 2^10, sympy's test from there on
+    values = list(range(-5, 5001))
+    values += [2**64 - 59, 2**64 + 13, 2**64 + 1, 2**89 - 1, (2**61 - 1) * (2**31 - 1)]
+    assert [is_prime(n) for n in values] == [bool(isprime(n)) for n in values]
+    assert sum(map(is_prime, values)) == 669 + 3
+
+
 def test_vp_factorial():
     assert vp_factorial(6, 2) == 4
     assert vp_factorial(6, 3) == 2

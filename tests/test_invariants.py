@@ -3,12 +3,12 @@
 import functools
 import math
 import random
-import sys
 from collections import Counter
 
 import pytest
+from sympy.polys import galoistools
 
-from indexlab import cli, invariants, modpoly, numberfield
+from indexlab import cli, invariants, numberfield
 from indexlab.arith import gcd_all, primes_upto, valuation, vp_factorial
 from indexlab.errors import InvalidInput
 from indexlab.families import family_polynomial
@@ -211,20 +211,22 @@ def sextics_and_cubics():
 
 
 def test_f_mod_p_is_factored_at_most_once_per_field(monkeypatch):
-    real = modpoly.factor_mod_p
+    # the split at a p-maximal prime runs sympy's distinct-degree step once
+    # on each squarefree part of f mod p, and `factor_mod_p` would run it
+    # too: a repeated (part, p) means f mod p was factored again
+    real = galoistools.gf_ddf_zassenhaus
     calls = []
 
-    def recording(f, p):
-        calls.append((getattr(f, "coeffs", f), p))
-        return real(f, p)
+    def recording(f, p, K):
+        calls.append((tuple(f), p))
+        return real(f, p, K)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("indexlab") and getattr(module, "factor_mod_p", None) is real:
-            monkeypatch.setattr(module, "factor_mod_p", recording)
+    monkeypatch.setattr(galoistools, "gf_ddf_zassenhaus", recording)
     repeated, total = [], 0
     for f in sextics_and_cubics():
+        K = build_field(f)  # sympy's irreducibility test runs the step mod its own primes
         calls.clear()
-        full_report(build_field(f))
+        full_report(K)
         total += len(calls)
         repeated += [(f, p) for (_, p), k in Counter(calls).items() if k > 1]
     assert total > 100
@@ -257,6 +259,28 @@ def test_frobenius_record_is_built_once_per_order_and_shared_with_the_split(monk
     # prime can leave the field without a record, so some splits build
     # their own on it
     assert any(reused) and not all(reused)
+
+
+def test_witness_char_poly_is_computed_once_per_report(monkeypatch):
+    # good_element checks its witness against i(K) through the char poly
+    # that the report then carries: one char_poly call per report
+    calls = []
+    real = invariants.char_poly
+
+    def counted(field, t):
+        calls.append(t)
+        return real(field, t)
+
+    monkeypatch.setattr(invariants, "char_poly", counted)
+    polys = [DEDEKIND, "x^2 - 17", family_polynomial("simplest_quartic", 5)]
+    polys += [family_polynomial("lehmer_quintic", 2), family_polynomial("simplest_sextic", 8)]
+    for f in polys:
+        K = build_field(f)
+        calls.clear()
+        report = full_report(K)
+        assert report.witness != K.generator() and report.i_K > 1
+        assert calls == [report.witness]
+        assert report.witness_char_poly == real(K, report.witness)
 
 
 def test_good_element_trivial_invariant_returns_generator():

@@ -21,6 +21,8 @@ from indexlab.numberfield import (
     build_field,
     char_poly,
     index_of,
+    is_irreducible,
+    is_primitive,
     split_prime,
 )
 
@@ -58,11 +60,11 @@ def canonical(x, p, m):
 
 
 def i_profile(K, p, m, classes):
-    return refinement._profile(K, p, m, classes, refinement._char_values)
+    return refinement._profile(K, p**m, m, [(p, classes, False)])[0]
 
 
 def index_profile(K, p, m, classes):
-    return refinement._profile(K, p, m, classes, refinement._index_dets)
+    return refinement._profile(K, p**m, m, [(p, classes, True)])[0]
 
 
 # (polynomial, primes): degrees 2 to 6, with nonzero i and I valuations
@@ -147,6 +149,8 @@ def test_reduced_searches_match_full_grid(monkeypatch):
     # factored out, and the zero class mod p is searched too
     monkeypatch.setattr(refinement, "_all_classes", full_grid)
     monkeypatch.setattr(refinement, "_children", full_children)
+    # fresh fields: each memo holds level 1 over the classes it was built on
+    fields = [(build_field(poly), primes) for poly, primes in CORPUS]
     full = [
         (refinement.max_i_valuation(K, p), refinement.min_index_valuation(K, p))
         for K, primes in fields
@@ -256,14 +260,14 @@ def test_kernel_is_exact_up_to_the_widest_int16_modulus(n):
         batch = kernel_layout(mats, mod)
         assert batch.dtype == dtype
         exact = [_charpoly_rows(mat) for mat in mats]
-        assert refinement._charpoly_batch(batch, mod).T.tolist() == [
-            [c % mod for c in e] for e in exact
-        ]
-        assert refinement._char_values(batch, mod).T.tolist() == [
+        cp = refinement._charpoly_batch(batch, mod)
+        assert cp.T.tolist() == [[c % mod for c in e] for e in exact]
+        assert refinement._char_values(cp, mod).T.tolist() == [
             [sum(c * x ** (n - k) for k, c in enumerate(e)) % mod for x in range(n + 1)]
             for e in exact
         ]
-        for mat, det in zip(mats, refinement._index_dets(batch, mod)[0].tolist()):
+        dets = refinement._charpoly_batch(refinement._power_rows(batch, mod), mod)[n]
+        for mat, det in zip(mats, dets.tolist()):
             rows = [[int(j == 0) for j in range(n)], mat[0]]  # 1, t, t^2, ...
             while len(rows) < n:
                 rows.append([sum(a * b[j] for a, b in zip(rows[-1], mat)) for j in range(n)])
@@ -361,9 +365,9 @@ def test_i_search_never_evaluates_an_empty_batch(monkeypatch):
     sizes = []
     profile = refinement._profile
 
-    def recording(field, p, m, classes, values):
-        sizes.append(len(classes))
-        return profile(field, p, m, classes, values)
+    def recording(field, mod, m, segments):
+        sizes.extend(len(classes) for _, classes, _ in segments)
+        return profile(field, mod, m, segments)
 
     monkeypatch.setattr(refinement, "_profile", recording)
     for poly, primes in CORPUS:
@@ -453,3 +457,90 @@ def test_chunked_levels_match_one_batch(chunk, monkeypatch):
     assert np.array_equal(i_profile(x7, 7, 1, classes), i_whole)
     assert np.array_equal(index_profile(x7, 7, 1, classes), index_whole)
     assert refinement.max_i_valuation(t1, 7) == search
+
+
+LEVEL_ONE_POLYS = KERNEL_FIELDS + [poly for poly, _ in CORPUS]
+
+
+def level_one_record(K):
+    """The field's shared level-1 record, built by one search call."""
+    refinement.max_i_valuation(K, 2)
+    return K.memo("level_one", dict)
+
+
+def test_shared_primes_keep_the_kernel_in_int16():
+    # ascending primes p <= n while their product keeps int16: 2 * 3 * 5 * 7
+    # = 210 needs int32 in degree 7, so p = 7 keeps its own modulus
+    expected = {2: (2,), 3: (2, 3), 4: (2, 3), 5: (2, 3, 5), 6: (2, 3, 5), 7: (2, 3, 5)}
+    for n, primes in expected.items():
+        assert refinement._shared(n) == (primes, math.prod(primes))
+        assert refinement._width(n, math.prod(primes)) is np.int16
+    assert refinement._width(7, 210) is np.int32
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["default-chunk", "chunk-7"])
+def test_level_one_record_matches_one_segment_profiles(chunk, monkeypatch):
+    if chunk is not None:
+        # chunks of 7 split segments, and most chunks mix two primes
+        monkeypatch.setattr(refinement, "_CHUNK", chunk)
+    for poly in LEVEL_ONE_POLYS:
+        K = build_field(poly)  # a fresh memo, so the record is built here
+        n = K.degree
+        primes = refinement._shared(n)[0]
+        record = level_one_record(K)
+        # the index segment only where the index search runs
+        assert set(record) == {(p, False) for p in primes} | {
+            (p, True) for p in primes if K.index_valuations.get(p, 0) > 0
+        }
+        for (p, index), profile in record.items():
+            classes = refinement._all_classes(p, n)
+            own = (index_profile if index else i_profile)(K, p, 1, classes)
+            assert profile.dtype == own.dtype and np.array_equal(profile, own)
+            assert not profile.flags.writeable
+
+
+def test_level_one_matches_exact_element_invariants():
+    # each class's entry is min(1, v_p) of its exact i(t) and index, with a
+    # non-primitive class (index infinite) undecided
+    checked = set()
+    for poly in LEVEL_ONE_POLYS:
+        K = build_field(poly)
+        if not 3 <= K.degree <= 5:
+            continue
+        for (p, index), profile in level_one_record(K).items():
+            ts = [tuple(int(c) for c in x) for x in refinement._all_classes(p, K.degree)]
+            if index:  # a class with no primitive element stays undecided
+                exact = [
+                    min(1, valuation(index_of(K, t), p)) if is_primitive(K, t) else 1
+                    for t in ts
+                ]
+            else:
+                exact = [min(1, valuation(i_theta(K, t), p)) for t in ts]
+            assert profile.tolist() == exact
+            checked.add((p, index, max(exact)))
+    # both searches at 2, 3 and 5, with undecided classes in each
+    assert {(p, index) for p, index, top in checked if top == 1} == {
+        (p, index) for p in (2, 3, 5) for index in (False, True)
+    }
+
+
+def test_full_report_makes_one_level_one_pass_per_field(monkeypatch):
+    # in degree 6 the primes 2, 3 and 5 share the modulus 30, so level 1 of
+    # both searches at all three is one pass
+    levels = []
+    profile = refinement._profile
+
+    def recording(field, modulus, m, *rest):
+        levels.append(m)
+        return profile(field, modulus, m, *rest)
+
+    monkeypatch.setattr(refinement, "_profile", recording)
+    passes = []
+    for m in range(1, 21):
+        f = family_polynomial("simplest_sextic", m)
+        if is_irreducible(f):
+            K = build_field(f)
+            levels.clear()
+            full_report(K)
+            passes.append(levels.count(1))
+    assert len(passes) >= 15 and set(passes) == {1}
