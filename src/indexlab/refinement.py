@@ -47,15 +47,15 @@ exact, for four reasons.
 
 max_i_valuation tracks w = v_p(gcd of the char poly's values at 0..n), whose
 max over classes is v_p of the lcm invariant.  Because that gcd always
-divides n!, any class still undecided at level v_p(n!) sits exactly at the
-bound, so the search never subdivides past that level.  It stops at the
-first such class.  Every certified class at that level is worth less than
-the level, which is the bound, and every earlier value is smaller still.
-So one undecided class makes the maximum the bound, and the first class
-that attains it is the first undecided class in list order: the witness
-that evaluating the whole level would give.  The level is evaluated in list
-order, a prefix of _HEAD classes first and the rest, if there is any, in
-one more batch, so a level of more than _HEAD classes with no undecided
+divides n!, a class still undecided at level v_p(n!) is worth exactly the
+bound, so at that level it counts as certified at the bound and the search
+never subdivides past it.  Every other class at that level is worth less
+than the level, which is the bound, and every earlier value is smaller
+still.  So one undecided class makes the maximum the bound, and the first
+class that attains it is the first undecided class in list order.  The
+level is evaluated in list order, a prefix of _HEAD classes first and the
+rest, if there is any, in one more batch only when the prefix holds no
+undecided class, so a level of more than _HEAD classes with no undecided
 class costs one extra batch call; a shared level 1 (below) comes whole.
 
 min_index_valuation tracks w = v_p(det of the power-basis matrix).  The
@@ -83,8 +83,10 @@ power-basis matrices, one Berkowitz kernel takes both on whole (B,) rows
 (a power-basis char poly's constant term is +- the determinant), and an
 einsum evaluates the char polys at x = 0..n.  Every class is a residue
 below M (level 1 holds digits below p, and _children adds multiples of p^m
-to residues below p^m), so each chunk is cast straight to the kernel's
-width, which the times table and the powers of x are stored in.
+to residues below p^m), and M <= _INT32_SAFE_MOD = 2^14, so the classes are
+int16 at every level, built so and never cast: einsum promotes them against
+the times table and the powers of x, which are stored at the kernel's
+width.  Each valuation is at most the level m <= 14, so it is int8.
 
 _reduce computes x mod M as x - (x // M) * M: numpy divides an integer
 array by a scalar with a multiply and a shift (Granlund and Montgomery,
@@ -155,7 +157,7 @@ def _frozen(a):
 
 def _grid(p: int, n: int):
     """The p^(n-1) classes mod p with coordinate 0 held at 0, in lex order."""
-    grid = np.indices((1,) + (p,) * (n - 1), dtype=np.int64)
+    grid = np.indices((1,) + (p,) * (n - 1), dtype=np.int16)
     return grid.reshape(n, -1).T
 
 
@@ -166,7 +168,7 @@ def _all_classes(p: int, n: int):
     t -> ut + c."""
     blocks = []
     for k in range(n - 1, 0, -1):  # first nonzero coordinate k
-        block = np.zeros((p ** (n - 1 - k), n), dtype=np.int64)
+        block = np.zeros((p ** (n - 1 - k), n), dtype=np.int16)
         block[:, k:] = _grid(p, n - k)
         block[:, k] = 1
         blocks.append(block)
@@ -184,11 +186,13 @@ def _child_offsets(p: int, n: int):
 def _children(survivors, p: int, m: int):
     """The lifts mod p^(m+1) of each survivor that keep its coordinates 0
     and k fixed, k being its first coordinate that is a unit mod p."""
+    assert p ** (m + 1) <= _INT32_SAFE_MOD  # so the int16 level cannot wrap
     n = survivors.shape[1]
     units = survivors % p != 0
     assert units.any(axis=1).all()  # the zero class mod p is never searched
     lead = units.argmax(axis=1)
-    kids = _child_offsets(p, n)[lead - 1] * (p**m)
+    kids = _child_offsets(p, n)[lead - 1]  # a fresh copy: scale it in place
+    kids *= p**m
     kids += survivors[:, None, :]
     return kids.reshape(-1, n)
 
@@ -230,7 +234,7 @@ def _charpoly_batch(mats, mod: int):
 
 def _min_vp(values, p: int, m: int):
     """Per-column min p-valuation of residues mod p^m or a multiple; m stands for 'all zero'."""
-    v = np.full(values.shape[1:], m, dtype=np.int64)
+    v = np.full(values.shape[1:], m, dtype=np.int8)
     for k in range(m):
         quot = values // p  # p | x iff x == (x // p) * p; `%` is slower
         fresh = (values != quot * p).any(axis=0) & (v == m)
@@ -271,15 +275,13 @@ def _profile(field, mod: int, m: int, segments):
     multiple of p^m; their classes are residues in [0, mod), index ones last."""
     assert mod <= _INT32_SAFE_MOD
     table = _np_table(field, mod)
-    if len(segments) == 1:  # cast a chunk at a time: a deep level's whole copy is large
-        stream = segments[0][1]
-    else:
-        stream = np.concatenate([c for _, c, _ in segments], dtype=table.dtype, casting="unsafe")
+    stream = segments[0][1] if len(segments) == 1 else np.concatenate([c for _, c, _ in segments])
+    assert stream.dtype == np.int16  # wider classes would widen the whole kernel
     ends = np.cumsum([len(c) for _, c, _ in segments]).tolist()
     chars = sum(len(c) for _, c, index in segments if not index)
-    out = np.empty(len(stream), dtype=np.int64)
+    out = np.empty(len(stream), dtype=np.int8)
     for lo in range(0, len(stream), _CHUNK):
-        chunk = stream[lo : lo + _CHUNK].astype(table.dtype)
+        chunk = stream[lo : lo + _CHUNK]
         k = min(max(chars - lo, 0), len(chunk))  # the char-poly classes lead
         mats = _mult_matrices(table, chunk, mod)
         if k < len(chunk):
@@ -344,19 +346,17 @@ def max_i_valuation(field, p: int):
             if (profile < m).all() and len(classes) > head:
                 rest = _profile(field, p**m, m, [(p, classes[head:], False)])[0]
                 profile = np.concatenate((profile, rest))
-        if m == bound and len(undecided := np.flatnonzero(profile >= m)):
-            return bound, (m, tuple(int(x) for x in classes[undecided[0]]))
-        certified = profile < m
+        # the gcd divides n!, so a class undecided at the bound is worth the bound
+        certified = (profile < m) | (m == bound)
         if certified.any():
             w = int(profile[certified].max())
             if w > best:
                 best = w
                 idx = int(np.nonzero(certified & (profile == w))[0][0])
                 witness = (m, tuple(int(x) for x in classes[idx]))
-        survivors = classes[~certified]
-        if not len(survivors):
+        if certified.all():
             return best, witness
-        classes = _children(survivors, p, m)
+        classes = _children(classes[~certified], p, m)
         m += 1
 
 
@@ -375,18 +375,14 @@ def min_index_valuation(field, p: int) -> int:
         return 0
     classes = _all_classes(p, n)
     m = 1
-    while len(classes):
+    while True:
         if m > 1 or (profile := _level_one(field, p, True)) is None:
             profile = _profile(field, p**m, m, [(p, classes, True)])[0]
         certified = profile < m
         if certified.any():
             best = min(best, int(profile[certified].min()))
-        if best == 0:
-            break
-        survivors = classes[profile >= m]
-        if not len(survivors) or m >= best:
+        if m >= best or certified.all():
             # survivors carry valuation >= m and cannot beat the minimum
-            break
-        classes = _children(survivors, p, m)
+            return best
+        classes = _children(classes[~certified], p, m)
         m += 1
-    return best

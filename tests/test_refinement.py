@@ -41,7 +41,7 @@ def roots_plus(k, c):
 def full_grid(p, n):
     """Every class mod p, coordinate 0 included: the search space before
     any symmetry was used."""
-    return np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T.copy()
+    return np.indices((p,) * n, dtype=np.int16).reshape(n, -1).T.copy()
 
 
 def full_children(survivors, p, m):
@@ -103,7 +103,7 @@ def test_profiles_are_translation_invariant(poly, p, m):
     n = K.degree
     mod = p**m
     rng = np.random.default_rng(17)
-    classes = full_grid(p, n) if m == 1 else rng.integers(0, mod, size=(60, n))
+    classes = full_grid(p, n) if m == 1 else rng.integers(0, mod, size=(60, n), dtype=np.int16)
     base_i = i_profile(K, p, m, classes)
     base_idx = index_profile(K, p, m, classes)
     for k in range(1, mod):
@@ -127,7 +127,8 @@ def test_class_sets_hold_one_class_per_orbit(p, n, levels):
         if m > 1:
             classes = refinement._children(classes, p, m - 1)
         mod = p**m
-        # the evaluator casts the classes to the kernel's width unreduced
+        # the evaluator takes the int16 classes as they are, unreduced
+        assert classes.dtype == np.int16
         assert classes.min() >= 0 and classes.max() < mod
         assert len(classes) == (p ** (n - 1) - 1) // (p - 1) * p ** ((n - 2) * (m - 1))
         # every class mod p^m with coordinate 0 at 0 and not 0 mod p is a
@@ -136,6 +137,19 @@ def test_class_sets_hold_one_class_per_orbit(p, n, levels):
         orbits = {canonical((0, *x), p, m) for x in grid if any(c % p for c in x)}
         reps = {tuple(int(c) for c in x) for x in classes}
         assert len(reps) == len(classes) and reps == orbits
+
+
+def test_levels_stay_int16_within_the_kernel_bound():
+    K = build_field(DEDEKIND)
+    classes = refinement._all_classes(7, 3)
+    # 7^4 <= 2^14 < 7^5: the level mod 7^4 is built, the next is refused
+    kids = refinement._children(classes, 7, 3)
+    assert kids.dtype == np.int16 and kids.max() < 7**4
+    with pytest.raises(AssertionError):
+        refinement._children(classes, 7, 4)
+    # int64 classes would run the whole kernel in int64
+    with pytest.raises(AssertionError):
+        i_profile(K, 7, 1, classes.astype(np.int64))
 
 
 def test_reduced_searches_match_full_grid(monkeypatch):
@@ -348,7 +362,7 @@ def test_kernel_contractions_match_exact_routines(poly):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
     i_seen, idx_seen = set(), set()
     for p, m in PROFILE_MODULI:
-        classes = (coords % p**m).astype(np.int64)
+        classes = (coords % p**m).astype(np.int16)
         i_exact = [min(m, valuation(i_theta(K, t), p)) for t in elements]
         idx_exact = [
             m if d == INFINITY else min(m, valuation(d, p))
@@ -495,7 +509,7 @@ def test_level_one_record_matches_one_segment_profiles(chunk, monkeypatch):
         for (p, index), profile in record.items():
             classes = refinement._all_classes(p, n)
             own = (index_profile if index else i_profile)(K, p, 1, classes)
-            assert profile.dtype == own.dtype and np.array_equal(profile, own)
+            assert profile.dtype == own.dtype == np.int8 and np.array_equal(profile, own)
             assert not profile.flags.writeable
 
 
